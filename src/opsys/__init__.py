@@ -33,7 +33,6 @@ from .linalg import (
     DEFAULT_TOL,
     Projection,
     Tolerance,
-    compress,
     hermitian_split,
     hs_inner,
     hs_norm,
@@ -100,7 +99,6 @@ __all__ = [
     "certify",
     "classical_ramsey_extract",
     "commutant",
-    "compress",
     "compress_system",
     "derive_rng",
     "derive_seed",

@@ -24,9 +24,11 @@ from .linalg import (
     as_matrix,
     hermitian_split,
     hs_norm,
+    pack_real,
     projection_from_vectors,
     rank_at,
     stacked_singular_values,
+    unpack_real,
 )
 from .systems import (
     Certificate,
@@ -480,10 +482,10 @@ def blocks2_clique(
         e = np.zeros(n, dtype=np.complex128)
         e[extra] = 1.0
         frame_cols.append(e)
-    wf = np.stack(frame_cols, axis=1)  # (n, k^2 + k - 1) isometry
-    compressed = np.einsum("ia,cij,jb->cab", wf.conj(), bs, wf, optimize=True)
+    wf = Projection.from_frame(np.stack(frame_cols, axis=1))  # (n, k^2 + k - 1) isometry
+    compressed = wf.compress_stack(bs)
     sub_cert = blocks_clique(BlockHypothesisInput(k, compressed), seed=derive_seed(seed, 1), tol=tol)
-    frame = wf @ sub_cert.projection.frame
+    frame = wf.frame @ sub_cert.projection.frame
     cert = certify(v, Projection.from_frame(frame), k, tol, seed=seed, trace=tuple(trace))
     if cert.kind is not Kind.CLIQUE:
         raise SearchBudgetError("chained staircase clique failed to certify", cert.trace)
@@ -493,15 +495,6 @@ def blocks2_clique(
 # ---------------------------------------------------------------------------
 # anticliques at low dimension
 # ---------------------------------------------------------------------------
-
-
-def _pack(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x.real.ravel(), x.imag.ravel()])
-
-
-def _unpack(xr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    half = xr.shape[0] // 2
-    return (xr[:half] + 1j * xr[half:]).reshape(shape)
 
 
 def anticlique_lowdim(
@@ -539,12 +532,12 @@ def anticlique_lowdim(
     targets = herm[1:]  # traceless Hermitian directions
 
     def resid(xr: np.ndarray) -> np.ndarray:
-        x = _unpack(xr, (n, k))
-        out = [_pack(x.conj().T @ x - np.eye(k))]
+        x = unpack_real(xr, (n, k))
+        out = [pack_real(x.conj().T @ x - np.eye(k))]
         for h in targets:
             m = x.conj().T @ h @ x
             m -= (np.trace(m) / k) * np.eye(k)
-            out.append(_pack(m))
+            out.append(pack_real(m))
         return np.concatenate(out)
 
     rng = np.random.default_rng(seed)
@@ -552,9 +545,9 @@ def anticlique_lowdim(
         x0 = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         x0, _ = np.linalg.qr(x0)
         sol = scipy.optimize.least_squares(
-            resid, _pack(x0), method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400
+            resid, pack_real(x0), method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400
         )
-        x = _unpack(sol.x, (n, k))
+        x = unpack_real(sol.x, (n, k))
         u, _, vh = np.linalg.svd(x, full_matrices=False)
         frame = u @ vh
         try:
@@ -590,7 +583,7 @@ def _solve_forms(
     n = mats[0].shape[0]
 
     def resid(xr: np.ndarray) -> np.ndarray:
-        x = _unpack(xr, (n,))
+        x = unpack_real(xr, (n,))
         vals = [float(np.real(np.vdot(x, m @ x))) - t for m, t in zip(mats, targets)]
         vals.append(float(np.real(np.vdot(x, x))) - 1.0)
         return np.asarray(vals)
@@ -601,11 +594,11 @@ def _solve_forms(
         starts.append(z / np.linalg.norm(z))
     for x0 in starts:
         sol = scipy.optimize.least_squares(
-            resid, _pack(np.asarray(x0, dtype=np.complex128)),
+            resid, pack_real(np.asarray(x0, dtype=np.complex128)),
             method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=300,
         )
         if float(np.max(np.abs(sol.fun))) < 1e-11:
-            x = _unpack(sol.x, (n,))
+            x = unpack_real(sol.x, (n,))
             return x / np.linalg.norm(x)
     return None
 
@@ -758,7 +751,7 @@ def _independent_triple(lam1: np.ndarray, lam2: np.ndarray) -> tuple[int, int, i
 def _claim_frame(
     a1: np.ndarray, a2: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray | None:
-    """Frame of rank <= 3 on which {I, a1, a2} compress independently."""
+    """Rank-3 frame on which {I, a1, a2} compress independently (needs n >= 3)."""
     n = a1.shape[0]
     scale = max(hs_norm(a1), hs_norm(a2), 1e-300)
     comm = np.linalg.norm(a1 @ a2 - a2 @ a1)
@@ -777,8 +770,6 @@ def _claim_frame(
     a, b = np.unravel_index(int(np.argmax(np.abs(off))), off.shape)
     if abs(off[a, b]) <= 1e-9 * scale:
         return None
-    if n == 2:
-        return q  # rank-2 frame; caller handles the small case
     others = [c for c in range(n) if c not in (a, b)]
     # eigenvalues of the selected triple must not be all equal
     c = max(others, key=lambda c: max(abs(lam[c] - lam[a]), abs(lam[c] - lam[b])))
@@ -835,34 +826,29 @@ def two_clique(
             last_error = "no projection kept {I, A1, A2} independent"
             continue
         comp3 = [frame3.conj().T @ m @ frame3 for m in (eye, a1, a2)]
-        r = frame3.shape[1]
-        if r == 3:
-            # Hermitian completion orthogonal to the three compressions.
-            flat = np.stack([_pack(m) for m in comp3])
-            flat = np.linalg.svd(flat, full_matrices=False)[2]
-            cand = None
-            for probe in range(16):
-                z = rng.standard_normal(18)
-                z -= flat.T @ (flat @ z)
-                t_mat = _unpack(z, (3, 3))
-                t_mat = (t_mat + t_mat.conj().T) / 2.0
-                if hs_norm(t_mat) > 1e-8:
-                    cand = t_mat / hs_norm(t_mat)
-                    break
-            if cand is None:
-                last_error = "no Hermitian completion found"
-                continue
-            try:
-                q_small = threedim_clique(
-                    np.stack(comp3 + [cand]), seed=derive_seed(seed, attempt, 1), tol=tol
-                )
-            except (SearchBudgetError, ValueError) as exc:
-                last_error = f"3x3 search failed: {exc}"
-                continue
-            q_frame = frame3 @ q_small.frame
-        else:
-            q_frame = frame3  # n == 2 handled above; defensive
-        q_frame = np.linalg.qr(q_frame)[0]
+        # Hermitian completion orthogonal to the three compressions.
+        flat = np.stack([pack_real(m) for m in comp3])
+        flat = np.linalg.svd(flat, full_matrices=False)[2]
+        cand = None
+        for probe in range(16):
+            z = rng.standard_normal(18)
+            z -= flat.T @ (flat @ z)
+            t_mat = unpack_real(z, (3, 3))
+            t_mat = (t_mat + t_mat.conj().T) / 2.0
+            if hs_norm(t_mat) > 1e-8:
+                cand = t_mat / hs_norm(t_mat)
+                break
+        if cand is None:
+            last_error = "no Hermitian completion found"
+            continue
+        try:
+            q_small = threedim_clique(
+                np.stack(comp3 + [cand]), seed=derive_seed(seed, attempt, 1), tol=tol
+            )
+        except (SearchBudgetError, ValueError) as exc:
+            last_error = f"3x3 search failed: {exc}"
+            continue
+        q_frame = np.linalg.qr(frame3 @ q_small.frame)[0]
 
         full = np.stack(
             [
@@ -879,8 +865,8 @@ def two_clique(
             continue
 
         # A3 compresses into span{I, A1, A2}: solve for the real coefficients.
-        flat3 = np.stack([_pack(m) for m in full[:3]]).T  # (18, 3) real
-        coeffs, *_ = np.linalg.lstsq(flat3, _pack(full[3]), rcond=None)
+        flat3 = np.stack([pack_real(m) for m in full[:3]]).T  # (18, 3) real
+        coeffs, *_ = np.linalg.lstsq(flat3, pack_real(full[3]), rcond=None)
         al, be, ga = (float(c) for c in coeffs)
         combo = al * eye + be * a1 + ga * a2
         bperp = a3.copy()

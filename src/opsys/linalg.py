@@ -27,8 +27,9 @@ __all__ = [
     "stacked_singular_values",
     "span_orthonormalize",
     "projection_from_vectors",
-    "compress",
     "hermitian_split",
+    "pack_real",
+    "unpack_real",
 ]
 
 
@@ -58,6 +59,11 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Contract the frame's adjoint with the stack, then the frame: the path
+# ``optimize=True`` finds for every (m, n, k).  Fixing it skips the path
+# search, which costs more than the arithmetic for small stacks.
+_LEFT_FIRST = ["einsum_path", (0, 1), (0, 1)]
 
 
 def as_matrix(a, n: int | None = None) -> np.ndarray:
@@ -194,7 +200,7 @@ class Projection:
 
     def compress_stack(self, stack: np.ndarray) -> np.ndarray:
         """Compress a ``(m, n, n)`` stack to ``(m, k, k)`` in one shot."""
-        return np.einsum("ia,mij,jb->mab", self.frame.conj(), stack, self.frame, optimize=True)
+        return np.einsum("ia,mij,jb->mab", self.frame.conj(), stack, self.frame, optimize=_LEFT_FIRST)
 
 
 def projection_from_vectors(vectors: Sequence, tol: Tolerance = DEFAULT_TOL) -> Projection:
@@ -207,14 +213,20 @@ def projection_from_vectors(vectors: Sequence, tol: Tolerance = DEFAULT_TOL) -> 
     return Projection(frame.shape[0], frame.shape[1], frame)
 
 
-def compress(p: Projection, a) -> np.ndarray:
-    """Compression of ``a`` by ``p`` in frame coordinates."""
-    return p.compress(a)
-
-
 def hermitian_split(a) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian and anti-Hermitian parts: ``a = H + iK`` with both H, K Hermitian."""
     m = as_matrix(a)
     h = (m + m.conj().T) / 2.0
     k = (m - m.conj().T) / 2.0j
     return h, k
+
+
+def pack_real(x: np.ndarray) -> np.ndarray:
+    """Real vector ``[Re x, Im x]`` of a complex array, each half row-major."""
+    return np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+
+def unpack_real(xr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`pack_real`: the complex array of ``shape``."""
+    half = xr.shape[0] // 2
+    return (xr[:half] + 1j * xr[half:]).reshape(shape)

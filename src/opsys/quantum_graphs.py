@@ -23,6 +23,7 @@ from .systems import (
     Certificate,
     Kind,
     OperatorSystem,
+    _certify_against,
     derive_rng,
     derive_seed,
     from_span,
@@ -167,11 +168,6 @@ class QuantumGraph:
             raise ValueError("system is not a bimodule over the algebra's commutant")
 
 
-def _dual_rank(rows: np.ndarray, tol: Tolerance) -> tuple[int, int]:
-    s = np.linalg.svd(rows, compute_uv=False)
-    return rank_at(s, tol.rank_rel), rank_at(s, tol.cert_rel)
-
-
 def generalized_certify(
     qg: QuantumGraph,
     p: Projection,
@@ -182,66 +178,24 @@ def generalized_certify(
 ) -> Certificate:
     """Certify a projection inside the algebra as a generalized (anti)clique.
 
-    Clique: dim(PVP) = k² (so PVP is everything a rank-k compression can be);
-    anticlique: PVP and PM′P have equal dimension and equal joint span.  The
-    projection must lie in the algebra — that is checked, not assumed — and
-    any disagreement between the search and certification tolerances yields
+    This is :func:`~opsys.systems.certify` with the commutant M′ in place of
+    the scalars: clique iff dim(PVP) = k²; anticlique iff PVP and PM′P have
+    equal dimension and equal joint span.  The projection must lie in the
+    algebra and commute with M′ — both are checked, not assumed — and any
+    disagreement between the search and certification tolerances yields
     Neither with an explanatory trace.
     """
     m, v = qg.algebra, qg.system
     if p.n != v.n:
         raise ValueError("projection ambient dimension does not match the system")
-    if k != p.k:
-        raise ValueError(f"projection rank {p.k} does not match k = {k}")
     pm = p.matrix
-    scale = max(1.0, float(np.linalg.norm(pm)))
-    coeffs = np.einsum("mij,ij->m", m.basis.conj(), pm)
-    resid = pm - np.einsum("m,mij->ij", coeffs, m.basis)
-    if float(np.linalg.norm(resid)) > 1e-9 * scale:
+    if not m.contains(pm):
         raise ValueError("projection does not lie in the algebra's span")
     comm_basis = commutant(m).basis
-    comm_resid = float(
-        max(np.linalg.norm(pm @ x - x @ pm) for x in comm_basis)
-    )
-    if comm_resid > 1e-9 * scale:
+    scale = max(1.0, float(np.linalg.norm(pm)))
+    if max(np.linalg.norm(pm @ x - x @ pm) for x in comm_basis) > 1e-9 * scale:
         raise ValueError("projection does not commute with the algebra's commutant")
-
-    rows_v = p.compress_stack(v.basis).reshape(v.dim, -1)
-    rows_c = p.compress_stack(comm_basis).reshape(comm_basis.shape[0], -1)
-    dv_rank, dv_cert = _dual_rank(rows_v, tol)
-    dc_rank, dc_cert = _dual_rank(rows_c, tol)
-    du_rank, du_cert = _dual_rank(np.concatenate([rows_v, rows_c], axis=0), tol)
-    if (dv_rank, dc_rank, du_rank) != (dv_cert, dc_cert, du_cert):
-        return Certificate(
-            projection=p,
-            kind=Kind.NEITHER,
-            compressed_dim=dv_rank,
-            k=k,
-            tol=tol,
-            seed=seed,
-            trace=trace
-            + (
-                "ambiguous compression rank between search and certification tolerances: "
-                f"PVP {dv_rank}/{dv_cert}, PM'P {dc_rank}/{dc_cert}, joint {du_rank}/{du_cert}",
-            ),
-            commutant_dim=dc_rank,
-        )
-    if dv_rank == k * k:
-        kind = Kind.CLIQUE
-    elif dv_rank == dc_rank == du_rank:
-        kind = Kind.ANTICLIQUE
-    else:
-        kind = Kind.NEITHER
-    return Certificate(
-        projection=p,
-        kind=kind,
-        compressed_dim=dv_rank,
-        k=k,
-        tol=tol,
-        seed=seed,
-        trace=trace,
-        commutant_dim=dc_rank,
-    )
+    return _certify_against(v, comm_basis, p, k, tol, seed, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .systems import (
     Kind,
     OperatorSystem,
     certify,
+    compress_system,
     derive_rng,
     derive_seed,
     from_span,
@@ -174,8 +175,7 @@ def phase1_vector_search(
     rng = derive_rng(seed, 0)
     candidates: list[np.ndarray] = []
 
-    herm = hermitian_basis(v)
-    comp = np.einsum("ia,mij,jb->mab", frame.conj(), herm, frame, optimize=True)
+    comp = Projection.from_frame(frame).compress_stack(hermitian_basis(v))
     for _ in range(3):
         weights = rng.standard_normal(comp.shape[0])
         mix = np.einsum("m,mab->ab", weights, comp)
@@ -316,8 +316,8 @@ def find_clique_or_anticlique(
     if vectors:
         w = np.stack(vectors, axis=1)
         s = len(vectors)
-        diag_entries = np.einsum("ia,mij,ja->ma", w.conj(), v.basis, w, optimize=True)
-        comp = np.einsum("ia,mij,jb->mab", w.conj(), v.basis, w, optimize=True)
+        comp = Projection.from_frame(w).compress_stack(v.basis)
+        diag_entries = np.diagonal(comp, axis1=1, axis2=2)
         off = comp - np.einsum("ma,ab->mab", diag_entries, np.eye(s))
         off_resid = float(np.abs(off).max())
         scale = max(float(np.abs(comp).max()), 1e-300)
@@ -350,8 +350,6 @@ def find_clique_or_anticlique(
         residual = v
         frame = np.eye(n, dtype=np.complex128)
     elif frame.shape[1] >= n_amb:
-        from .systems import compress_system
-
         residual = compress_system(v, Projection.from_frame(frame), tol)
     else:
         residual = None
@@ -369,19 +367,15 @@ def find_clique_or_anticlique(
             if extras is None:
                 trace.append("phase 2: no padding coordinates available")
             else:
-                iso = np.stack(list(ws) + extras, axis=1)  # (residual.n, n_amb)
-                sub_basis = np.einsum(
-                    "ia,mij,jb->mab", iso.conj(), residual.basis, iso, optimize=True
-                )
+                iso = Projection.from_frame(np.stack(list(ws) + extras, axis=1))
+                sub_basis = iso.compress_stack(residual.basis)
                 try:
                     sub = from_span(list(sub_basis), n_amb, tol)
-                    comp_chain = np.einsum(
-                        "ia,cij,jb->cab", iso.conj(), np.stack(chain), iso, optimize=True
-                    )
+                    comp_chain = iso.compress_stack(np.stack(chain))
                     sub_cert = blocks2_clique(
                         sub, comp_chain, k, seed=derive_seed(params.seed, 2, 1), tol=tol
                     )
-                    lifted = Projection.from_frame(frame @ (iso @ sub_cert.projection.frame))
+                    lifted = Projection.from_frame(frame @ (iso.frame @ sub_cert.projection.frame))
                     cert = certify(v, lifted, k, tol, seed=params.seed, trace=tuple(trace))
                     if cert.kind is Kind.CLIQUE:
                         return cert

@@ -152,14 +152,21 @@ def graph_from_json(obj: dict[str, Any]) -> SimpleGraph:
 
 
 def algebra_to_json(m: MatrixAlgebra) -> dict[str, Any]:
-    # Only the block shapes travel; parsing rebuilds the canonical contiguous
-    # layout, so a nonstandard layout (e.g. a commutant) round-trips up to a
-    # permutation of the ambient coordinates.
-    return {"blocks": [list(b) for b in m.blocks]}
+    """Block shapes, plus ``coords`` when the layout is not the contiguous one."""
+    obj: dict[str, Any] = {"blocks": [list(b) for b in m.blocks]}
+    if m != MatrixAlgebra.from_blocks(m.blocks):
+        obj["coords"] = [cs.tolist() for cs in m.coords]
+    return obj
 
 
 def algebra_from_json(obj: dict[str, Any]) -> MatrixAlgebra:
-    return MatrixAlgebra.from_blocks(obj["blocks"])
+    """Inverse of :func:`algebra_to_json`; without ``coords`` the layout is contiguous."""
+    if "coords" not in obj:
+        return MatrixAlgebra.from_blocks(obj["blocks"])
+    coords = tuple(np.asarray(cs) for cs in obj["coords"])
+    if any(cs.dtype.kind != "i" for cs in coords):
+        raise ValueError("algebra coordinates must be integers")
+    return MatrixAlgebra(tuple((int(a), int(b)) for a, b in obj["blocks"]), coords)
 
 
 def qgraph_to_json(qg: QuantumGraph) -> dict[str, Any]:

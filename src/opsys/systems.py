@@ -4,12 +4,16 @@ An operator system is stored as a Hilbert-Schmidt-orthonormal basis stack of
 shape ``(dim, n, n)``.  The identity always lies in the span and the span is
 closed under adjoints; both invariants are checked at construction time.
 
-Certification of a projection ``P`` against a system ``V`` computes
-``dim(P V P)`` twice, at the search cutoff ``rank_rel`` and again at the
-stricter ``cert_rel``.  A clique means the compression has the maximal
-dimension ``k^2``; an anticlique means it is the scalars (dimension 1).  If
-the two cutoffs disagree the verdict is ``Kind.NEITHER`` with an explanatory
-trace entry, never a silently shaky certificate.
+One certifier decides every verdict.  It compares the compression ``P V P``
+with the compression of a scalar side ``S``: span{I_n} for a plain system
+(:func:`certify`) and the commutant M' for a quantum graph over an algebra M
+(``quantum_graphs.generalized_certify``).  A clique means ``dim(P V P)`` is
+the maximal ``k^2``; an anticlique means ``P V P = P S P``, i.e. the two
+compressions and their joint span have one dimension.  Each of the three
+dimensions is computed at the search cutoff ``rank_rel`` and again at the
+stricter ``cert_rel``, and the certificate records the ``cert_rel`` counts.
+If any count differs between the cutoffs the verdict is ``Kind.NEITHER``
+with an explanatory trace entry, never a silently shaky certificate.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from .linalg import (
     Tolerance,
     as_matrix,
     as_vector,
+    hermitian_split,
+    pack_real,
     rank_at,
     span_orthonormalize,
+    unpack_real,
 )
 
 __all__ = [
@@ -103,10 +110,12 @@ class Kind(str, Enum):
 class Certificate:
     """Outcome of certifying one projection against one operator system.
 
-    ``commutant_dim`` is the dimension of the scalar side of the anticlique
-    comparison: 1 for plain operator systems (the compression must be the
-    scalars), and dim(P M' P) when certifying against a quantum graph on an
-    algebra M, where the anticlique condition is P V P = P M' P.
+    ``compressed_dim`` is dim(P V P) at the certification cutoff ``cert_rel``.
+    ``commutant_dim`` is the dimension, at the same cutoff, of the compressed
+    scalar side of the anticlique comparison: 1 for plain operator systems
+    (the compression must be the scalars), and dim(P M' P) when certifying
+    against a quantum graph on an algebra M, where the anticlique condition
+    is P V P = P M' P.
     """
 
     projection: Projection
@@ -149,6 +158,44 @@ def compress_system(v: OperatorSystem, p: Projection, tol: Tolerance = DEFAULT_T
     return OperatorSystem(p.k, np.stack(basis))
 
 
+def _certify_against(
+    v: OperatorSystem,
+    scalars: np.ndarray,
+    p: Projection,
+    k: int,
+    tol: Tolerance,
+    seed: int | None,
+    trace: tuple[str, ...],
+) -> Certificate:
+    """The dual-cutoff verdict described in the module docstring.
+
+    ``scalars`` is an HS-orthonormal stack spanning the scalar side S.
+    """
+    if p.n != v.n:
+        raise ValueError(f"projection on C^{p.n} does not act on M_{v.n}")
+    if p.k != k:
+        raise ValueError(f"projection has rank {p.k}, expected {k}")
+    rows_v = p.compress_stack(v.basis).reshape(v.dim, k * k)
+    rows_s = p.compress_stack(scalars).reshape(scalars.shape[0], k * k)
+    dims = []
+    for rows in (rows_v, rows_s, np.concatenate([rows_v, rows_s])):
+        s = np.linalg.svd(rows, compute_uv=False)
+        dims.append((rank_at(s, tol.rank_rel), rank_at(s, tol.cert_rel)))
+    (_, d_v), (_, d_s), (_, d_joint) = dims
+    notes = tuple(trace)
+    if any(search != cert for search, cert in dims):
+        kind = Kind.NEITHER
+        pairs = ", ".join(f"{name} {a}/{b}" for name, (a, b) in zip(("PVP", "PSP", "joint"), dims))
+        notes += (f"tolerance-ambiguous compression, dims at rank_rel/cert_rel: {pairs}",)
+    elif d_v == k * k:
+        kind = Kind.CLIQUE
+    elif d_v == d_s == d_joint:
+        kind = Kind.ANTICLIQUE
+    else:
+        kind = Kind.NEITHER
+    return Certificate(p, kind, d_v, k, tol, seed, notes, commutant_dim=d_s)
+
+
 def certify(
     v: OperatorSystem,
     p: Projection,
@@ -158,34 +205,14 @@ def certify(
     seed: int | None = None,
     trace: tuple[str, ...] = (),
 ) -> Certificate:
-    """Certify ``p`` against ``v``: clique iff dim(PVP) = k^2, anticlique iff 1.
+    """Certify ``p`` against ``v``: clique iff dim(PVP) = k^2, anticlique iff PVP = C·I_k.
 
-    The compressed dimension is computed at both ``tol.rank_rel`` and
-    ``tol.cert_rel``; if the counts disagree the certificate is downgraded to
-    ``Kind.NEITHER`` with a trace note.
+    The scalar side is span{I_n}.  Dimensions are computed at both
+    ``tol.rank_rel`` and ``tol.cert_rel``; if the counts disagree the
+    certificate is downgraded to ``Kind.NEITHER`` with a trace note.
     """
-    if p.n != v.n:
-        raise ValueError(f"projection on C^{p.n} does not act on M_{v.n}")
-    if p.k != k:
-        raise ValueError(f"projection has rank {p.k}, expected {k}")
-    comp = p.compress_stack(v.basis).reshape(v.dim, k * k)
-    s = np.linalg.svd(comp, compute_uv=False)
-    d_search = rank_at(s, tol.rank_rel)
-    d_cert = rank_at(s, tol.cert_rel)
-    notes = list(trace)
-    if d_search != d_cert:
-        kind = Kind.NEITHER
-        notes.append(
-            f"tolerance-ambiguous compression: dim {d_search} at rank_rel "
-            f"vs {d_cert} at cert_rel"
-        )
-    elif d_cert == k * k:
-        kind = Kind.CLIQUE
-    elif d_cert == 1:
-        kind = Kind.ANTICLIQUE
-    else:
-        kind = Kind.NEITHER
-    return Certificate(p, kind, d_cert, k, tol, seed, tuple(notes))
+    scalars = np.eye(v.n, dtype=np.complex128)[None] / np.sqrt(v.n)
+    return _certify_against(v, scalars, p, k, tol, seed, trace)
 
 
 def orbit_dim(v: OperatorSystem, vec, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -206,26 +233,13 @@ def hermitian_basis(v: OperatorSystem) -> np.ndarray:
     ``v.dim``, so the stack has shape ``(v.dim, n, n)`` in the generic case.
     """
     n = v.n
-    cand = []
-    for a in v.basis:
-        cand.append((a + a.conj().T) / 2.0)
-        cand.append((a - a.conj().T) / 2.0j)
+    flat = np.stack([pack_real(h) for a in v.basis for h in hermitian_split(a)])
     ident = np.eye(n, dtype=np.complex128) / np.sqrt(n)
-
-    def realify(h: np.ndarray) -> np.ndarray:
-        return np.concatenate([h.real.ravel(), h.imag.ravel()])
-
-    flat = np.stack([realify(h) for h in cand])
-    iflat = realify(ident)
+    iflat = pack_real(ident)
     flat = flat - np.outer(flat @ iflat, iflat)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     r = rank_at(s, DEFAULT_TOL.rank_rel)
-    out = [ident]
-    for i in range(r):
-        row = vh[i]
-        half = row.shape[0] // 2
-        out.append((row[:half] + 1j * row[half:]).reshape(n, n))
-    return np.stack(out)
+    return np.stack([ident] + [unpack_real(row, (n, n)) for row in vh[:r]])
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -245,13 +259,18 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (z + z.conj().T) / 2.0
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar_frame(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Haar-distributed isometry C^k -> C^n via phase-fixed QR of a Ginibre matrix."""
+    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary."""
+    return _haar_frame(rng, n, n)
 
 
 def random_system(n: int, d: int, seed: int) -> OperatorSystem:
@@ -287,9 +306,4 @@ def random_projection(n: int, k: int, seed: int) -> Projection:
     """Random rank-``k`` projection (Haar frame), deterministic given ``seed``."""
     if not 1 <= k <= n:
         raise ValueError(f"rank {k} is impossible in C^{n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return Projection(n, k, q * phases)
+    return Projection(n, k, _haar_frame(np.random.default_rng(seed), n, k))

@@ -8,15 +8,16 @@ from opsys.linalg import (
     Projection,
     Tolerance,
     as_matrix,
-    compress,
     hermitian_split,
     hs_inner,
     hs_norm,
     numerical_rank,
+    pack_real,
     projection_from_vectors,
     rank_at,
     span_orthonormalize,
     stacked_singular_values,
+    unpack_real,
 )
 
 
@@ -158,11 +159,6 @@ class TestProjection:
         assert np.allclose(pm, pm.conj().T, atol=1e-10)
         assert np.allclose(pm @ v, v, atol=1e-9 * np.linalg.norm(v))
 
-    def test_module_level_compress(self):
-        p = Projection.coordinate(3, [0, 1])
-        a = np.arange(9, dtype=complex).reshape(3, 3)
-        assert np.allclose(compress(p, a), a[:2, :2])
-
 
 class TestHermitianSplit:
     def test_reassembles(self):
@@ -172,6 +168,13 @@ class TestHermitianSplit:
         assert np.allclose(re, re.conj().T)
         assert np.allclose(im, im.conj().T)
         assert np.allclose(re + 1j * im, a)
+
+    def test_pack_real_round_trip(self):
+        a = random_complex(np.random.default_rng(10), 3, 2)
+        xr = pack_real(a)
+        assert xr.dtype == np.float64
+        assert np.array_equal(xr, np.concatenate([a.real.ravel(), a.imag.ravel()]))
+        assert np.array_equal(unpack_real(xr, (3, 2)), a)
 
     def test_as_matrix_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

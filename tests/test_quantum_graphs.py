@@ -166,16 +166,24 @@ class TestGeneralizedCertify:
             generalized_certify(qg, p, 2)
 
     def test_reduces_to_certify_on_full_algebra(self):
+        cases = []
         for seed in range(6):
-            n, d, k = 5, 1 + seed * 4, 2
+            n, d = 5, 1 + seed * 4
             v = random_system(n, min(d, n * n), seed=seed)
-            qg = QuantumGraph(MatrixAlgebra.full(n), v)
-            p = random_projection(n, k, seed=seed)
-            a = generalized_certify(qg, p, k)
-            b = certify(v, p, k)
+            cases.append((v, random_projection(n, 2, seed=seed)))
+        # the tolerance straddle of test_systems: dim(PVP) is 1 at rank_rel, 2 at cert_rel
+        straddle = 1e-10 * (unit(3, 0, 1) + unit(3, 1, 0)) + unit(3, 0, 2) + unit(3, 2, 0)
+        cases.append((from_span([straddle], 3), Projection.coordinate(3, [0, 1])))
+        for v, p in cases:
+            qg = QuantumGraph(MatrixAlgebra.full(v.n), v)
+            a = generalized_certify(qg, p, 2)
+            b = certify(v, p, 2)
             assert a.kind is b.kind
             assert a.compressed_dim == b.compressed_dim
             assert a.commutant_dim == 1
+        # a and b now hold the straddle's certificates
+        assert a.kind is Kind.NEITHER
+        assert any("ambiguous" in note for note in a.trace + b.trace)
 
     def test_classical_clique_and_independent_sets(self):
         # path 1-2-3 plus isolated 4: {1,2} clique, {1,3} independent

@@ -170,13 +170,33 @@ class TestGraphAlgebra:
         assert obj == {"blocks": [[2, 2], [1, 3]]}
         assert algebra_from_json(obj) == m
 
-    def test_commutant_round_trips_up_to_layout(self):
-        # a commutant uses interleaved coordinates; the wire format keeps
-        # only the block sizes, so the parse is the canonical layout
+    def test_commutant_round_trips_with_its_layout(self):
+        # a commutant uses interleaved coordinates, which travel as "coords"
         m = commutant(MatrixAlgebra.from_blocks([(2, 2)]))
-        back = algebra_from_json(algebra_to_json(m))
-        assert back.blocks == m.blocks
-        assert back == MatrixAlgebra.from_blocks([(2, 2)])
+        obj = algebra_to_json(m)
+        assert obj["coords"] == [[[0, 2], [1, 3]]]
+        back = algebra_from_json(obj)
+        assert back == m
+        assert back != MatrixAlgebra.from_blocks([(2, 2)])
+
+    def test_rejects_non_integer_coords(self):
+        obj = {"blocks": [[2, 1]], "coords": [[[0.0], [1.0]]]}
+        with pytest.raises(ValueError, match="integers"):
+            algebra_from_json(obj)
+        obj["coords"] = [[[1], [1]]]  # not a partition of 0..n-1
+        with pytest.raises(ValueError, match="partition"):
+            algebra_from_json(obj)
+
+    def test_qgraph_round_trip_keeps_commutant_layout(self):
+        # V = M_2 (x) I_3 is a bimodule over the interleaved commutant of
+        # M_2 (x) I_3 but not over the contiguous layout of the same shape
+        mats = [np.kron(e, np.eye(3)) for e in np.eye(4).reshape(4, 2, 2)]
+        qg = QuantumGraph(commutant(MatrixAlgebra.from_blocks([(2, 3)])), from_span(mats, 6))
+        back = qgraph_from_json(json.loads(dumps(qgraph_to_json(qg))))
+        assert back.algebra == qg.algebra
+        fa = qg.system.basis.reshape(qg.system.dim, -1)
+        fb = back.system.basis.reshape(back.system.dim, -1)
+        assert np.allclose(fa.T @ fa.conj(), fb.T @ fb.conj(), atol=1e-10)
 
     def test_qgraph_round_trip(self):
         m = MatrixAlgebra.full(3)

@@ -263,6 +263,10 @@ class TestRandomGenerators:
         assert np.allclose(p.frame.conj().T @ p.frame, np.eye(3), atol=1e-10)
         q = random_projection(6, 3, seed=9)
         assert np.array_equal(p.frame, q.frame)
+        # a full-rank projection draws the same Haar stream as haar_unitary
+        for s in range(4):
+            full = random_projection(5, 5, seed=s)
+            assert np.array_equal(full.frame, haar_unitary(np.random.default_rng(s), 5))
 
     def test_haar_unitary_is_unitary(self):
         u = haar_unitary(np.random.default_rng(0), 5)
