@@ -118,6 +118,13 @@ class MatrixAlgebra:
                     units.append(u)
         return np.stack(units)
 
+    @cached_property
+    def _commutant(self) -> "MatrixAlgebra":
+        return MatrixAlgebra(
+            tuple((di, ni) for ni, di in self.blocks),
+            tuple(np.ascontiguousarray(cs.T) for cs in self.coords),
+        )
+
     def contains(self, a: np.ndarray, rel: float = 1e-9) -> bool:
         a = np.asarray(a, dtype=np.complex128)
         coeffs = np.einsum("mij,ij->m", self.basis.conj(), a)
@@ -126,11 +133,12 @@ class MatrixAlgebra:
 
 
 def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
-    """The commutant: each block (n_i, d_i) becomes (d_i, n_i) in place."""
-    return MatrixAlgebra(
-        tuple((di, ni) for ni, di in m.blocks),
-        tuple(np.ascontiguousarray(cs.T) for cs in m.coords),
-    )
+    """The commutant: each block (n_i, d_i) becomes (d_i, n_i) in place.
+
+    Built once per algebra and cached on it, so repeated calls share one
+    object and its cached basis.
+    """
+    return m._commutant
 
 
 def is_bimodule(v: OperatorSystem, m: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:

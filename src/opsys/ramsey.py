@@ -11,7 +11,7 @@ at desk scale Neither is a legitimate, fully traced outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ from .systems import (
     derive_rng,
     derive_seed,
     from_span,
-    hermitian_basis,
     orbit_dim,
     random_projection,
 )
@@ -162,36 +161,58 @@ def phase1_vector_search(
 ) -> np.ndarray | None:
     """Unit vector orthogonal to all existing orbits with orbit dimension < threshold.
 
-    Candidates come from eigenvectors of random Hermitian combinations of the
-    compressed basis, the smallest right singular vectors of the stacked
+    Candidates come, in this order, from eigenvectors of three random
+    Hermitian elements of V compressed to the orthocomplement of the
+    existing orbits, the smallest right singular vectors of the stacked
     orbit map, and seeded random draws; the first candidate whose full orbit
-    dimension is below the threshold wins.  ``None`` means no candidate
-    qualified — a legitimate outcome, not an error.
+    dimension is below the threshold wins, and later candidates are never
+    computed.  Each Hermitian element is the Hermitian part (Z + Z*)/2 of
+    Z = sum_a g_a B_a, with B_a the HS-orthonormal basis of V and g_a
+    independent standard complex Gaussians.  Because {B_a, i·B_a} is a
+    real-orthonormal basis of V and V is closed under adjoints, (Z + Z*)/2
+    is a standard Gaussian in the real space of Hermitian elements of V:
+    the law of Gaussian weights on a real-orthonormal Hermitian basis, with
+    no such basis built.  ``None`` means no candidate qualified — a
+    legitimate outcome, not an error.
     """
     frame = _orbit_orthocomplement(v, [as_vector(w, v.n) for w in existing])
-    f = frame.shape[1]
-    if f == 0:
-        return None
-    rng = derive_rng(seed, 0)
-    candidates: list[np.ndarray] = []
+    return _phase1_search(v, frame, threshold, seed, tol)
 
-    comp = Projection.from_frame(frame).compress_stack(hermitian_basis(v))
+
+def _phase1_candidates(
+    v: OperatorSystem, frame: np.ndarray, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Phase-1 candidate directions in frame coordinates, generated on demand."""
+    d, f = v.dim, frame.shape[1]
+    p = Projection.from_frame(frame)
+    flat = v.basis.reshape(d, -1)
     for _ in range(3):
-        weights = rng.standard_normal(comp.shape[0])
-        mix = np.einsum("m,mab->ab", weights, comp)
-        _, vecs = np.linalg.eigh(mix)
-        candidates.extend(vecs.T)
+        g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        zc = p.compress((g @ flat).reshape(v.n, v.n))
+        _, vecs = np.linalg.eigh((zc + zc.conj().T) / 2)
+        yield from vecs.T
 
     stacked = np.concatenate([a @ frame for a in v.basis], axis=0)
     _, _, vh = np.linalg.svd(stacked, full_matrices=False)
     for row in vh[max(0, vh.shape[0] - 3) :][::-1]:
-        candidates.append(row.conj())
+        yield row.conj()
 
     for _ in range(8):
         z = rng.standard_normal(f) + 1j * rng.standard_normal(f)
-        candidates.append(z / np.linalg.norm(z))
+        yield z / np.linalg.norm(z)
 
-    for c in candidates:
+
+def _phase1_search(
+    v: OperatorSystem,
+    frame: np.ndarray,
+    threshold: int,
+    seed: int,
+    tol: Tolerance,
+) -> np.ndarray | None:
+    """:func:`phase1_vector_search` inside a precomputed orthocomplement ``frame``."""
+    if frame.shape[1] == 0:
+        return None
+    for c in _phase1_candidates(v, frame, derive_rng(seed, 0)):
         x = frame @ c
         norm = np.linalg.norm(x)
         if norm < 1e-12:
@@ -301,15 +322,19 @@ def find_clique_or_anticlique(
     trace: list[str] = []
 
     # ---- phase 1: accumulate small-orbit vectors ---------------------------
+    # ``frame`` always spans the orthocomplement of the orbits of ``vectors``;
+    # phase 2 reuses it, so each vector set costs one null space.
     vectors: list[np.ndarray] = []
+    frame = _orbit_orthocomplement(v, vectors)
     while len(vectors) < params.phase1_steps:
-        vec = phase1_vector_search(
-            v, vectors, params.orbit_threshold, derive_seed(params.seed, 1, len(vectors)), tol
+        vec = _phase1_search(
+            v, frame, params.orbit_threshold, derive_seed(params.seed, 1, len(vectors)), tol
         )
         if vec is None:
             trace.append(f"phase 1: stalled after {len(vectors)} vectors")
             break
         vectors.append(vec)
+        frame = _orbit_orthocomplement(v, vectors)
     else:
         trace.append(f"phase 1: collected all {len(vectors)} vectors")
 
@@ -344,11 +369,9 @@ def find_clique_or_anticlique(
     # ---- phase 2: chain to the staircase construction ----------------------
     m_chain = k**4 + k**3
     n_amb = m_chain + k - 1
-    frame = _orbit_orthocomplement(v, vectors)
     residual: OperatorSystem | None
     if frame.shape[1] == n:
         residual = v
-        frame = np.eye(n, dtype=np.complex128)
     elif frame.shape[1] >= n_amb:
         residual = compress_system(v, Projection.from_frame(frame), tol)
     else:

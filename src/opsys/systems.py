@@ -231,6 +231,13 @@ def hermitian_basis(v: OperatorSystem) -> np.ndarray:
     The first element is ``I/sqrt(n)``; the rest are traceless.  For an
     operator system the real dimension of the Hermitian part equals
     ``v.dim``, so the stack has shape ``(v.dim, n, n)`` in the generic case.
+
+    Only the span is determined, not the traceless elements themselves.  The
+    SVD input holds the Hermitian parts of the real-orthonormal basis
+    {B_a, -i·B_a} of V with the identity direction removed: an orthogonal
+    projection onto the traceless Hermitian part of V, written in that
+    basis.  Its ``v.dim - 1`` nonzero singular values are therefore all 1,
+    and LAPACK returns an arbitrary rotation of the basis within the span.
     """
     n = v.n
     flat = np.stack([pack_real(h) for a in v.basis for h in hermitian_split(a)])

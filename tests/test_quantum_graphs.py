@@ -113,6 +113,11 @@ class TestCommutant:
         mcc = commutant(commutant(m))
         assert mcc == m
 
+    def test_commutant_is_cached(self):
+        m = MatrixAlgebra.from_blocks([(2, 3), (1, 2)])
+        assert commutant(m) is commutant(m)
+        assert commutant(commutant(m)) == m
+
     def test_commutant_dimensions_multiply(self):
         m = MatrixAlgebra.from_blocks([(2, 3), (1, 4)])
         mc = commutant(m)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import opsys.ramsey
+import opsys.systems
 from opsys.linalg import numerical_rank
 from opsys.ramsey import (
     SearchParams,
@@ -12,9 +15,11 @@ from opsys.ramsey import (
 from opsys.systems import (
     Kind,
     certify,
+    derive_seed,
     from_span,
     orbit_dim,
     random_diagonal_system,
+    random_projection,
     random_system,
 )
 from opsys.constructions import diagonal_system
@@ -202,3 +207,50 @@ class TestFind:
         v = random_system(4, 16, seed=1)
         cert = find_clique_or_anticlique(v, 2, SearchParams.for_k(2))
         assert cert.kind is Kind.CLIQUE
+
+
+class TestPhase1Cost:
+    def test_builds_no_hermitian_basis(self, monkeypatch):
+        # phase 1 draws its Hermitian probes from V's own basis
+        def refuse(v):
+            raise AssertionError("phase 1 built a Hermitian basis")
+
+        monkeypatch.setattr(opsys.systems, "hermitian_basis", refuse)
+        assert not hasattr(opsys.ramsey, "hermitian_basis")
+        cert = find_clique_or_anticlique(
+            random_system(16, 48, seed=0), 2, SearchParams.for_k(2, seed=0)
+        )
+        assert cert.kind is not Kind.NEITHER
+        # dim 2 at n = 8: phase 1 collects its vectors and decides
+        cert = find_clique_or_anticlique(
+            random_system(8, 2, seed=1), 2, SearchParams.for_k(2, seed=1)
+        )
+        assert cert.kind is Kind.ANTICLIQUE
+        assert cert.trace == ("phase 1: collected all 8 vectors",)
+
+    def test_one_null_space_per_vector_set(self, monkeypatch):
+        # dim 120 > n = 24: the first vector's orbit fills C^24 and phase 1
+        # stalls, so the only vector set that needs a null space is {w_1}
+        calls = []
+        real = scipy.linalg.null_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        v = random_system(24, 120, seed=3)
+        monkeypatch.setattr(scipy.linalg, "null_space", counting)
+        cert = find_clique_or_anticlique(v, 2, SearchParams.for_k(2, seed=3))
+        assert "phase 1: stalled after 1 vectors" in cert.trace
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_search_scale_verdict_comes_from_first_probe(self, k):
+        # at benchmark sizes phase 1 stalls after one vector and phase 2 has
+        # no room, so the verdict is probe 0's, whatever phase 1 drew
+        seed = 5
+        v = random_system(32, 200, seed=seed)
+        cert = find_clique_or_anticlique(v, k, SearchParams.for_k(k, seed=seed))
+        expected = random_projection(32, k, derive_seed(seed, 3, 0)).frame
+        assert np.array_equal(cert.projection.frame, expected)
+        assert "probe 0 certified" in cert.trace
