@@ -2,8 +2,10 @@
 
 Rank and span decisions are made with a rank-revealing SVD and a *relative*
 singular-value cutoff (``sigma_i > rel * sigma_max``), so they are invariant
-under rescaling of the input.  Everything in this module is deterministic;
-randomized callers live elsewhere and carry explicit seeds.
+under rescaling of the input.  Membership in a span with an HS-orthonormal
+basis needs no SVD: it is a projection residual, :func:`span_residuals`.
+Everything in this module is deterministic; randomized callers live elsewhere
+and carry explicit seeds.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "as_vector",
     "hs_inner",
     "hs_norm",
+    "span_residuals",
     "numerical_rank",
     "rank_at",
     "stacked_singular_values",
@@ -102,6 +105,15 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
 
 
+def span_residuals(basis: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """HS distance of each matrix in ``stack`` (any leading axes, flattened)
+    from the span of the HS-orthonormal ``(d, n, n)`` stack ``basis``.  Non-finite
+    input gives a non-finite residual, so ``resid <= cutoff`` fails closed."""
+    flat = basis.reshape(basis.shape[0], -1)
+    rows = np.reshape(stack, (-1, flat.shape[1]))
+    return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
+
+
 def _stack_flat(items: Sequence) -> np.ndarray:
     arrs = [np.asarray(x, dtype=np.complex128) for x in items]
     if not arrs:
@@ -171,7 +183,7 @@ class Projection:
         if f.shape != (self.n, self.k):
             raise ValueError(f"frame shape {f.shape} does not match (n, k)=({self.n}, {self.k})")
         gram = f.conj().T @ f
-        if np.linalg.norm(gram - np.eye(self.k)) > 1e-8 * max(1, self.k):
+        if not np.linalg.norm(gram - np.eye(self.k)) <= 1e-8 * max(1, self.k):
             raise ValueError("frame columns are not orthonormal")
 
     @classmethod

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .constructions import SimpleGraph
-from .linalg import DEFAULT_TOL, Projection, Tolerance, rank_at
+from .linalg import DEFAULT_TOL, Projection, Tolerance, as_matrix, span_residuals
 from .ramsey import SearchParams, find_clique_or_anticlique
 from .systems import (
     Certificate,
@@ -126,10 +126,8 @@ class MatrixAlgebra:
         )
 
     def contains(self, a: np.ndarray, rel: float = 1e-9) -> bool:
-        a = np.asarray(a, dtype=np.complex128)
-        coeffs = np.einsum("mij,ij->m", self.basis.conj(), a)
-        resid = a - np.einsum("m,mij->ij", coeffs, self.basis)
-        return float(np.linalg.norm(resid)) <= rel * max(1.0, float(np.linalg.norm(a)))
+        a = as_matrix(a, self.n)
+        return bool(span_residuals(self.basis, a)[0] <= rel * max(np.linalg.norm(a), 1e-300))
 
 
 def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
@@ -142,24 +140,17 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
 
 
 def is_bimodule(v: OperatorSystem, m: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether M′·V·M′ = V, by a mutual span-rank test.
-
-    The span of {X·A·Y} over commutant basis elements X, Y and A ∈ V always
-    contains V (the commutant is unital), so the test reduces to the rank of
-    that span being dim(V) both alone and jointly with V's basis.
+    """Whether M′·V·M′ = V: X·B_a ∈ V and B_a·X ∈ V for every basis element X
+    of M′ and B_a of V.  Equivalent since M′ is unital (V ⊆ M′·V·M′) and
+    X·A·Y = X·(A·Y).  The factors are HS-unit, so each residual is compared
+    with ``tol.rank_rel``, not with the product's own norm: products of
+    orthogonal matrix units are ~1e-17 and lie in V.
     """
     if v.n != m.n:
         raise ValueError("ambient dimensions differ")
-    xs = commutant(m).basis
-    t1 = np.einsum("xij,ajk->xaik", xs, v.basis, optimize=True)
-    prods = np.einsum("xaik,ykl->xayil", t1, xs, optimize=True)
-    rows = prods.reshape(-1, v.n * v.n)
-    s = np.linalg.svd(rows, compute_uv=False)
-    if rank_at(s, tol.rank_rel) != v.dim:
-        return False
-    joint = np.concatenate([rows, v.basis.reshape(v.dim, -1)], axis=0)
-    s2 = np.linalg.svd(joint, compute_uv=False)
-    return rank_at(s2, tol.rank_rel) == v.dim
+    xs = commutant(m).basis[:, None]
+    b = v.basis
+    return all((span_residuals(b, prods) <= tol.rank_rel).all() for prods in (xs @ b, b @ xs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,19 +275,11 @@ def tensor_factor(
     w = from_span(list(slices), ni, tol)
     if w.dim * di * di != vb.dim:
         return None
-    recon = []
-    unit = np.zeros((di, di), dtype=np.complex128)
-    for e in w.basis:
-        for b in range(di):
-            for bp in range(di):
-                unit[b, bp] = 1.0
-                recon.append(np.kron(e, unit))
-                unit[b, bp] = 0.0
-    joint = np.concatenate(
-        [np.stack(recon).reshape(len(recon), -1), vb.basis.reshape(vb.dim, -1)], axis=0
-    )
-    s = np.linalg.svd(joint, compute_uv=False)
-    if rank_at(s, tol.rank_rel) != vb.dim:
+    # The reconstructions e ⊗ E_bb′ are HS-orthonormal and there are vb.dim of
+    # them, so they span vb exactly when each one lies in it.
+    eye = np.eye(di)
+    recon = np.einsum("wij,bx,cy->wbcixjy", w.basis, eye, eye)
+    if not (span_residuals(vb.basis, recon.reshape(-1, vb.n, vb.n)) <= tol.rank_rel).all():
         return None
     return w
 

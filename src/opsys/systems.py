@@ -3,6 +3,9 @@
 An operator system is stored as a Hilbert-Schmidt-orthonormal basis stack of
 shape ``(dim, n, n)``.  The identity always lies in the span and the span is
 closed under adjoints; both invariants are checked at construction time.
+Span membership (these invariants, ``contains``, and the algebra, bimodule and
+tensor-factor checks of ``quantum_graphs``) is decided in one place: the
+projection residual ``linalg.span_residuals``, compared with a cutoff.
 
 One certifier decides every verdict.  It compares the compression ``P V P``
 with the compression of a scalar side ``S``: span{I_n} for a plain system
@@ -33,6 +36,7 @@ from .linalg import (
     pack_real,
     rank_at,
     span_orthonormalize,
+    span_residuals,
     unpack_real,
 )
 
@@ -73,19 +77,15 @@ class OperatorSystem:
         d = b.shape[0]
         if not 1 <= d <= self.n * self.n:
             raise ValueError(f"dimension {d} is impossible in M_{self.n}")
+        # Each check is written as ``not (x <= tol)`` so that NaN fails it.
         flat = b.reshape(d, -1)
         gram = flat @ flat.conj().T
-        if np.linalg.norm(gram - np.eye(d)) > _GRAM_TOL * d:
+        if not np.linalg.norm(gram - np.eye(d)) <= _GRAM_TOL * d:
             raise ValueError("basis is not HS-orthonormal")
-        # identity in the span
-        eye = np.eye(self.n, dtype=np.complex128).ravel()
-        coeff = flat.conj() @ eye
-        if np.linalg.norm(eye - flat.T @ coeff) > _CLOSURE_TOL * np.sqrt(self.n):
+        eye = np.eye(self.n, dtype=np.complex128)
+        if not span_residuals(b, eye)[0] <= _CLOSURE_TOL * np.sqrt(self.n):
             raise ValueError("identity does not lie in the span")
-        # closed under adjoints
-        adj = b.conj().transpose(0, 2, 1).reshape(d, -1)
-        resid = adj - (adj @ flat.conj().T) @ flat
-        if np.linalg.norm(resid, axis=1).max() > _CLOSURE_TOL:
+        if not span_residuals(b, b.conj().transpose(0, 2, 1)).max() <= _CLOSURE_TOL:
             raise ValueError("span is not closed under adjoints")
 
     @property
@@ -93,11 +93,8 @@ class OperatorSystem:
         return int(self.basis.shape[0])
 
     def contains(self, a, rel: float = 1e-9) -> bool:
-        m = as_matrix(a, self.n).ravel()
-        flat = self.basis.reshape(self.dim, -1)
-        resid = m - flat.T @ (flat.conj() @ m)
-        scale = np.linalg.norm(m)
-        return bool(np.linalg.norm(resid) <= rel * max(scale, 1e-300))
+        m = as_matrix(a, self.n)
+        return bool(span_residuals(self.basis, m)[0] <= rel * max(np.linalg.norm(m), 1e-300))
 
 
 class Kind(str, Enum):

@@ -119,6 +119,10 @@ class TestProjection:
         with pytest.raises(ValueError):
             Projection.from_frame(frame)
 
+    def test_rejects_nan_frame(self):
+        with pytest.raises(ValueError):
+            Projection.from_frame([[np.nan], [0.0]])
+
     def test_coordinate_projection_matrix(self):
         p = Projection.coordinate(4, [1, 3])
         expected = np.zeros((4, 4))

@@ -71,6 +71,8 @@ class TestMatrixAlgebra:
         m = MatrixAlgebra.diagonal(3)
         assert m.contains(np.diag([1.0, 2.0, 3.0]))
         assert not m.contains(unit(3, 0, 1))
+        assert not m.contains(1e-10 * unit(3, 0, 1))
+        assert m.contains(np.zeros((3, 3)))
         assert MatrixAlgebra.full(3).contains(unit(3, 0, 1))
 
 
@@ -147,6 +149,107 @@ class TestBimodule:
         # M = M_n has scalar commutant, so any operator system qualifies
         v = random_system(4, 5, seed=1)
         assert is_bimodule(v, MatrixAlgebra.full(4))
+
+
+def two_sided_rank_oracle(v, m):
+    """The former bimodule check: span{X·A·Y} over commutant basis elements X, Y
+    and A in V's basis has rank dim V, alone and jointly with V's basis."""
+    xs = commutant(m).basis
+    prods = np.einsum("xij,ajk,ykl->xayil", xs, v.basis, xs, optimize=True)
+    rows = prods.reshape(-1, v.n * v.n)
+    joint = np.concatenate([rows, v.basis.reshape(v.dim, -1)])
+    return numerical_rank(rows) == v.dim and numerical_rank(joint) == v.dim
+
+
+def joint_rank_tensor_oracle(vb, ni, di):
+    """The former tensor-factor check: the slice system W, its dimension count,
+    and the joint rank of the reconstructions W-basis ⊗ E_bb′ with vb's basis."""
+    mats = vb.basis.reshape(vb.dim, ni, di, ni, di)
+    w = from_span(list(mats.transpose(0, 2, 4, 1, 3).reshape(-1, ni, ni)), ni)
+    if w.dim * di * di != vb.dim:
+        return False
+    recon = [np.kron(e, unit(di, b, c)) for e in w.basis for b in range(di) for c in range(di)]
+    return numerical_rank(recon + list(vb.basis)) == vb.dim
+
+
+def random_graph_system(n, seed, share=0.5):
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    picked = rng.choice(len(pairs), size=round(share * len(pairs)), replace=False)
+    return graph_operator_system(SimpleGraph.from_edges(n, [pairs[i] for i in picked]))
+
+
+def tensor_system(w, side):
+    """W ⊗ M_side in the contiguous (a, b) ordering."""
+    units = [unit(side, b, c) for b in range(side) for c in range(side)]
+    return from_span([np.kron(a, e) for a in w.basis for e in units], w.n * side)
+
+
+def d2_tensor_m2_plus_scalar():
+    """V = D_2 ⊗ M_2 on the (2, 2) block plus the scalar (1, 1) block, in M_5."""
+    mats = []
+    for i in range(2):
+        for x in np.eye(4).reshape(4, 2, 2):
+            big = np.zeros((5, 5), dtype=complex)
+            big[:4, :4] = np.kron(unit(2, i, i), x)
+            mats.append(big)
+    mats.append(unit(5, 4, 4))
+    return from_span(mats, 5)
+
+
+def bimodule_oracle_cases():
+    """(system, algebra) pairs: the roundtrip benchmark's families, the inputs of
+    the tensor_factor tests, then non-bimodules."""
+    cases = [(random_graph_system(n, seed=n), MatrixAlgebra.diagonal(n)) for n in range(6, 11)]
+    for d, seed in ((4, 0), (9, 1)):
+        cases.append((tensor_system(random_system(3, d, seed=seed), 2), MatrixAlgebra.from_blocks([(3, 2)])))
+    for d, seed in ((2, 2), (4, 3)):
+        cases.append((tensor_system(random_system(2, d, seed=seed), 3), MatrixAlgebra.from_blocks([(2, 3)])))
+    layout = commutant(MatrixAlgebra.from_blocks([(2, 3)]))
+    cases.append((from_span([np.kron(unit(2, i, j), np.eye(3)) for i in range(2) for j in range(2)], 6), layout))
+    cases.append((d2_tensor_m2_plus_scalar(), MatrixAlgebra.from_blocks([(2, 2), (1, 1)])))
+    cases.append((random_system(4, 5, seed=3), MatrixAlgebra.from_blocks([(2, 2)])))
+    cases += [(random_system(6, d, seed=d), MatrixAlgebra.diagonal(6)) for d in (2, 5, 12)]
+    cases += [(random_system(6, d, seed=d), MatrixAlgebra.from_blocks([(3, 2)])) for d in (3, 7)]
+    g = random_graph_system(6, seed=0, share=0.3)
+    non_edges = [p for p in itertools.combinations(range(6), 2) if not g.contains(unit(6, *p))]
+    off = unit(6, *non_edges[0]) + unit(6, *non_edges[1])
+    cases.append((from_span(list(g.basis) + [off], 6), MatrixAlgebra.diagonal(6)))
+    return cases
+
+
+class TestBimoduleOracle:
+    def test_agrees_with_two_sided_rank_oracle(self):
+        verdicts = []
+        for v, m in bimodule_oracle_cases():
+            verdicts.append(is_bimodule(v, m))
+            assert verdicts[-1] == two_sided_rank_oracle(v, m)
+        assert verdicts.count(False) >= 7
+
+    def test_tensor_factor_agrees_with_joint_rank_oracle(self):
+        m = MatrixAlgebra.from_blocks([(2, 2), (1, 1)])
+        cases = [
+            (block_restriction(d2_tensor_m2_plus_scalar(), m, 0), 2, 2),
+            (random_system(4, 5, seed=3), 2, 2),
+            (tensor_system(random_system(3, 4, seed=0), 2), 3, 2),
+            (tensor_system(random_system(3, 9, seed=1), 2), 3, 2),
+            (tensor_system(random_system(2, 2, seed=2), 3), 2, 3),
+            (random_system(6, 8, seed=4), 2, 3),
+        ]
+        verdicts = [tensor_factor(vb, ni, di) is not None for vb, ni, di in cases]
+        assert verdicts == [joint_rank_tensor_oracle(vb, ni, di) for vb, ni, di in cases]
+        assert verdicts == [True, False, True, True, True, False]
+
+    def test_d20_graph_system_needs_no_svd(self, monkeypatch):
+        m = MatrixAlgebra.diagonal(20)
+        v = random_graph_system(20, seed=20)
+        assert v.dim == 210
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("is_bimodule called numpy.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert is_bimodule(v, m)
 
 
 class TestQuantumGraph:
@@ -245,17 +348,8 @@ class TestClassicalRamseyExtract:
 
 class TestBlockDecomposition:
     def test_block_restriction_slices_the_bimodule(self):
-        # V = D_2 (x) M_2 on the (2,2) block, plus the scalar (1,1) block
         m = MatrixAlgebra.from_blocks([(2, 2), (1, 1)])
-        mats = []
-        for i in range(2):
-            for x in np.eye(4).reshape(4, 2, 2):
-                big = np.zeros((5, 5), dtype=complex)
-                big[:4, :4] = np.kron(unit(2, i, i), x)
-                mats.append(big)
-        mats.append(unit(5, 4, 4))
-        v = from_span(mats, 5)
-        sub = block_restriction(v, m, 0)
+        sub = block_restriction(d2_tensor_m2_plus_scalar(), m, 0)
         assert sub.n == 4 and sub.dim == 8
         w = tensor_factor(sub, 2, 2)
         assert w is not None

@@ -53,6 +53,11 @@ class TestOperatorSystemValidation:
         with pytest.raises(ValueError, match="shape"):
             OperatorSystem(3, np.eye(2, dtype=complex)[None, :, :])
 
+    def test_rejects_nan_basis_element(self):
+        basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), np.full((2, 2), np.nan + 0j)])
+        with pytest.raises(ValueError):
+            OperatorSystem(2, basis)
+
     def test_contains(self):
         v = from_span([unit(2, 0, 1)], 2)
         assert v.contains(np.eye(2))
