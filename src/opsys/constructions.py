@@ -204,6 +204,49 @@ def gramian_completion(vectors) -> np.ndarray:
     return u * np.sqrt(lam)
 
 
+def _clique_frame(vs: np.ndarray, n: int) -> np.ndarray:
+    """Isometry C^k -> C^n compressing A on the first r coordinates to sum_jl A_jl v_j v_l^*.
+
+    ``vs`` holds r vectors v_j in C^k as rows.  Rows 0..r-1 of the frame are
+    conj(v_j) and the next k-1 rows are the :func:`gramian_completion` of the
+    k columns of ``vs``, which makes the columns orthogonal of equal norm;
+    everything is scaled by 1/||vs||.  Needs n >= r + k - 1.
+    """
+    r, k = vs.shape
+    if n < r + k - 1:
+        raise ValueError(f"need n >= {r + k - 1}, got n = {n}")
+    frame = np.zeros((n, k), dtype=np.complex128)
+    frame[:r] = vs.conj()
+    frame[r : r + k - 1] = gramian_completion(vs.conj().T).T
+    return frame / np.linalg.norm(vs, 2)
+
+
+def diagonal_clique_projection(n: int, k: int) -> Projection:
+    """Projection onto a quantum k-clique of the standard D_n, for n >= k^2 + k - 1.
+
+    It lifts :func:`rank1_spanning_vectors`: the first k^2 diagonal units
+    compress to the outer products v_j v_j^*, which span M_k.
+    """
+    return Projection.from_frame(_clique_frame(rank1_spanning_vectors(k), n))
+
+
+def _diagonal_clique_frame(diags: np.ndarray, k: int, tol: Tolerance) -> np.ndarray | None:
+    """Frame of a k-clique of the diagonal system with diagonals ``diags`` (rows), or None.
+
+    Picks k^2 + k - 1 coordinates by pivoted QR and places the diagonal
+    clique there; ``None`` unless the rows stay independent on them at
+    ``tol.rank_rel``.
+    """
+    m = k * k + k - 1
+    _, _, piv = scipy.linalg.qr(diags, pivoting=True)
+    cols = np.sort(piv[:m])
+    if rank_at(np.linalg.svd(diags[:, cols], compute_uv=False), tol.rank_rel) < m:
+        return None
+    frame = np.zeros((diags.shape[1], k), dtype=np.complex128)
+    frame[cols] = diagonal_clique_projection(m, k).frame
+    return frame
+
+
 @dataclass(frozen=True, eq=False)
 class DiagonalCliqueResult:
     """Clique certificate plus the orthonormal basis realizing it."""
@@ -216,42 +259,18 @@ class DiagonalCliqueResult:
 def diagonal_clique(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> DiagonalCliqueResult:
     """Quantum k-clique of a diagonal operator system, for n >= k^2 + k - 1.
 
-    Builds k^2 orthogonal equal-norm vectors whose leading k coordinates are
-    the rank-one spanning family, extends them to an orthonormal basis, and
-    certifies the projection onto the first k coordinates against the copy of
-    D_n that is diagonal in that basis.
+    Completes the frame F of :func:`diagonal_clique_projection` to the
+    unitary U = [F | F^perp]^*, whose first k rows are F^*, and certifies the
+    projection onto the first k coordinates against the copy of D_n that is
+    diagonal in the columns of U.
     """
-    m = k * k + k - 1
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < m:
-        raise ValueError(f"need n >= k^2 + k - 1 = {m}, got n = {n}")
-    vs = rank1_spanning_vectors(k)
-    ws = gramian_completion(vs)
-    combined = np.concatenate([vs, ws], axis=1)  # rows, each of length m
-    scale = np.sqrt(float(np.linalg.norm(vs @ vs.conj().T, 2)))
-    combined /= scale
-    frame = np.zeros((n, k * k), dtype=np.complex128)
-    frame[:m, :] = combined.T
-    rest = scipy.linalg.null_space(frame.conj().T)
-    basis = np.hstack([frame, rest])
-    units = np.einsum("ja,ka->ajk", basis, basis.conj())
-    system = OperatorSystem(n, units)
-    p = Projection.coordinate(n, range(k))
-    cert = certify(system, p, k, tol)
+    frame = diagonal_clique_projection(n, k).frame
+    basis = np.hstack([frame, scipy.linalg.null_space(frame.conj().T)]).conj().T
+    system = OperatorSystem(n, np.einsum("ja,ka->ajk", basis, basis.conj()))
+    cert = certify(system, Projection.coordinate(n, range(k)), k, tol)
     if cert.kind is not Kind.CLIQUE:
         raise SearchBudgetError("diagonal clique construction failed to certify", cert.trace)
     return DiagonalCliqueResult(cert, system, basis)
-
-
-def diagonal_clique_projection(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> Projection:
-    """Projection certifying a quantum k-clique of the *standard* D_n.
-
-    Conjugates the coordinate projection from :func:`diagonal_clique` back
-    through the constructed basis.
-    """
-    basis = diagonal_clique(n, k, tol).basis
-    return Projection.from_frame(basis[:k, :].conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +358,12 @@ def blocks_clique(
                 f"no independent extension found at step {i + 1} after {step_tries} tries",
                 tuple(trace),
             )
-    ws = gramian_completion(vs)
-    combined = np.concatenate([vs, ws], axis=1)  # rows in C^n exactly
-    scale = np.sqrt(float(np.linalg.norm(vs @ vs.conj().T, 2)))
-    combined /= scale
-    frame = combined.T  # (n, k^2), orthonormal columns
-    rest = scipy.linalg.null_space(frame.conj().T)
-    basis = np.hstack([frame, rest])  # unitary
-    p = Projection.from_frame(basis[:k, :].conj().T)
+    p = Projection.from_frame(_clique_frame(vs, n))
     v_sys = from_span(list(inp.matrices), n, tol)
     cert = certify(v_sys, p, k, tol, seed=seed, trace=tuple(trace))
     if cert.kind is not Kind.CLIQUE:
         raise SearchBudgetError("staircase clique failed to certify", cert.trace)
     return cert
-
-
-def _tail_coordinates(k: int, block: int) -> int:
-    """First coordinate (0-based) past block ``block``'s window."""
-    return block * (k * k + k)
 
 
 def blocks2_clique(
@@ -409,24 +416,21 @@ def blocks2_clique(
             raise ValueError(f"chain matrix {c + 1} does not lie in the system")
 
     trace: list[str] = []
+    # Block j (1-based) is chain matrices (j-1)*stride .. j*stride - 2; its
+    # tails are their diagonals from j*stride on, past the block's window.
+    blocks = [mats[(j - 1) * stride : j * stride - 1] for j in range(1, kk + 1)]
+    tails_of = [
+        np.stack([np.diagonal(b)[j * stride :] for b in block]) for j, block in enumerate(blocks, 1)
+    ]
 
     # First pass: a block with independent tails routes straight to a
     # diagonal clique on the coordinates past the block.
-    for j in range(1, kk + 1):
-        lo = (j - 1) * stride
-        block = mats[lo : lo + stride - 1]
-        start = _tail_coordinates(k, j)
-        tails = np.stack([np.diagonal(b)[start:] for b in block])
-        if tails.shape[1] < stride - 1:
-            continue
-        s = np.linalg.svd(tails, compute_uv=False)
-        if rank_at(s, tol.rank_rel) == stride - 1:
+    for j, tails in enumerate(tails_of, 1):
+        frame_tail = _diagonal_clique_frame(tails, k, tol)
+        if frame_tail is not None:
             trace.append(f"block {j}: independent tails, diagonal clique on {tails.shape[1]} coords")
-            _, _, piv = scipy.linalg.qr(tails, pivoting=True)
-            cols = np.sort(piv[: stride - 1])
-            sub = diagonal_clique_projection(stride - 1, k, tol)
             frame = np.zeros((n, k), dtype=np.complex128)
-            frame[start + cols, :] = sub.frame
+            frame[j * stride :] = frame_tail
             cert = certify(v, Projection.from_frame(frame), k, tol, seed=seed, trace=tuple(trace))
             if cert.kind is Kind.CLIQUE:
                 return cert
@@ -436,11 +440,8 @@ def blocks2_clique(
     # unit vector v_j supported on the block's fresh coordinate window.
     picked = np.zeros((kk, n), dtype=np.complex128)
     bs = np.zeros((kk, n, n), dtype=np.complex128)
-    for j in range(1, kk + 1):
-        lo = (j - 1) * stride
-        block = mats[lo : lo + stride - 1]
-        start = _tail_coordinates(k, j)
-        tails = np.stack([np.diagonal(b)[start:] for b in block])
+    for j, (block, tails) in enumerate(zip(blocks, tails_of), 1):
+        lo, start = (j - 1) * stride, j * stride
         u_svd, s, _ = np.linalg.svd(tails, full_matrices=True)
         if tails.shape[1] >= stride - 1 and s[-1] > tol.rank_rel * s[0]:
             raise SearchBudgetError(

@@ -16,9 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.linalg
 
-from .constructions import anticlique_lowdim, blocks2_clique, diagonal_clique_projection
+from .constructions import _diagonal_clique_frame, anticlique_lowdim, blocks2_clique
 from .errors import SearchBudgetError
-from .linalg import DEFAULT_TOL, Projection, Tolerance, as_vector, rank_at
+from .linalg import DEFAULT_TOL, Projection, Tolerance, as_vector
 from .systems import (
     Certificate,
     Kind,
@@ -108,19 +108,14 @@ def diagonal_route(
     m = k * k + k - 1
     trace: list[str] = []
     if d >= m:
-        _, _, piv = scipy.linalg.qr(diags, pivoting=True)
-        cols = np.sort(piv[:m])
-        sub = diags[:, cols]
-        s = np.linalg.svd(sub, compute_uv=False)
-        if rank_at(s, tol.rank_rel) == m:
-            frame = np.zeros((n, k), dtype=np.complex128)
-            frame[cols, :] = diagonal_clique_projection(m, k, tol).frame
+        frame = _diagonal_clique_frame(diags, k, tol)
+        if frame is None:
+            trace.append("no well-conditioned coordinate subset of size k^2+k-1")
+        else:
             cert = certify(v, Projection.from_frame(frame), k, tol, seed=seed)
             if cert.kind is Kind.CLIQUE:
                 return cert
             trace.append("clique branch failed to certify despite dim >= k^2+k-1")
-        else:
-            trace.append("no well-conditioned coordinate subset of size k^2+k-1")
     if k >= 2 and d * (k - 1) <= n - k:
         try:
             return anticlique_lowdim(v, k, seed=seed, tol=tol)

@@ -94,7 +94,12 @@ def system_from_json(obj: dict[str, Any]) -> OperatorSystem:
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("system basis element has the wrong dimension")
-    return from_span(mats, n)
+    # A written system loads as itself; a hand-written span is closed and
+    # orthonormalized instead.
+    try:
+        return OperatorSystem(n, np.stack(mats))
+    except ValueError:
+        return from_span(mats, n)
 
 
 def projection_to_json(p: Projection) -> dict[str, Any]:

@@ -125,6 +125,8 @@ class Certificate:
     commutant_dim: int = 1
 
     def __post_init__(self) -> None:
+        if self.projection.k != self.k:
+            raise ValueError(f"projection has rank {self.projection.k}, expected k = {self.k}")
         if self.kind is Kind.CLIQUE and self.compressed_dim != self.k * self.k:
             raise ValueError("clique certificates require compressed_dim == k^2")
         if self.kind is Kind.ANTICLIQUE and self.compressed_dim != self.commutant_dim:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,12 @@ from opsys.constructions import (
 )
 from opsys.errors import SearchBudgetError
 from opsys.linalg import Projection, hs_inner, numerical_rank
+from opsys.ramsey import diagonal_route
 from opsys.systems import (
     Kind,
     certify,
     from_span,
+    random_diagonal_system,
     random_hermitian,
     random_projection,
     random_system,
@@ -167,13 +170,45 @@ class TestDiagonalClique:
     def test_below_threshold_rejected(self):
         with pytest.raises(ValueError):
             diagonal_clique(4, 2)
+        with pytest.raises(ValueError):
+            diagonal_clique_projection(4, 2)
 
-    @pytest.mark.parametrize("k,n", [(2, 5), (2, 8), (3, 11), (3, 14)])
+    @pytest.mark.parametrize("k,n", [(2, 5), (2, 8), (3, 11), (3, 14), (4, 22), (5, 29)])
     def test_projection_against_standard_diagonal(self, k, n):
         p = diagonal_clique_projection(n, k)
         cert = certify(diagonal_system(n), p, k)
         assert cert.kind is Kind.CLIQUE
         assert cert.compressed_dim == k * k
+
+
+class TestCliquesWithoutUnitaryCompletion:
+    """Only diagonal_clique completes its frame to a unitary; the rest use the frame alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_null_space(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("null_space called")
+
+        monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+
+    def test_diagonal_clique_projection(self):
+        p = diagonal_clique_projection(19, 4)
+        assert certify(diagonal_system(19), p, 4).kind is Kind.CLIQUE
+
+    def test_blocks_clique(self):
+        cert = blocks_clique(BlockHypothesisInput(3, staircase_instance(3, seed=0)))
+        assert cert.kind is Kind.CLIQUE
+
+    def test_diagonal_route(self):
+        cert = diagonal_route(random_diagonal_system(7, 6, seed=0), 2)
+        assert cert.kind is Kind.CLIQUE
+
+    def test_blocks2_clique_independent_tails(self):
+        chain = chain_instance(2, seed=3, dependent=False)
+        v = from_span(list(chain), chain.shape[1])
+        cert = blocks2_clique(v, chain, 2, seed=1)
+        assert cert.kind is Kind.CLIQUE
+        assert any("independent tails" in note for note in cert.trace)
 
 
 class TestBlockHypothesisInput:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opsys.constructions import SimpleGraph, diagonal_system
 from opsys.linalg import Projection, Tolerance
 from opsys.quantum_graphs import MatrixAlgebra, QuantumGraph, commutant
-from opsys.ramsey import SearchParams
+from opsys.ramsey import SearchParams, find_clique_or_anticlique
 from opsys.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -76,9 +76,26 @@ class TestSystem:
         for b in v.basis:
             assert w.contains(b)
 
+    def test_round_trip_keeps_the_basis(self):
+        v = random_system(8, 24, seed=3)
+        w = system_from_json(json.loads(dumps(system_to_json(v))))
+        assert np.array_equal(w.basis, v.basis)
+
+    def test_find_agrees_on_the_round_trip(self):
+        # a low-dimension case whose verdict changes under a rotation of the
+        # basis, so only a bit-exact load keeps it
+        v = random_system(7, 2, seed=72)
+        w = system_from_json(json.loads(dumps(system_to_json(v))))
+        params = SearchParams.for_k(3, seed=1)
+        a = find_clique_or_anticlique(v, 3, params)
+        b = find_clique_or_anticlique(w, 3, params)
+        assert a.kind is b.kind is Kind.ANTICLIQUE
+        assert np.array_equal(a.projection.frame, b.projection.frame)
+
     def test_parse_completes_the_span(self):
-        # parsing re-runs the span closure: identity and adjoints are
-        # adjoined, so a bare off-diagonal unit grows to a 3-dim system
+        # a basis that is not an operator system is closed on parse: identity
+        # and adjoints are adjoined, so a bare off-diagonal unit grows to a
+        # 3-dim system
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1.0
         v = system_from_json({"n": 2, "basis": [matrix_to_json(e01)]})
@@ -153,6 +170,10 @@ class TestCertificate:
         cert = certify(v, random_projection(4, 2, seed=1), 2)
         obj = certificate_to_json(cert)
         obj["compressed_dim"] = 3  # clique with dim != k^2 is contradictory
+        with pytest.raises(ValueError):
+            certificate_from_json(obj)
+        obj = certificate_to_json(cert)
+        obj["k"], obj["compressed_dim"] = 3, 9  # consistent, but the frame has rank 2
         with pytest.raises(ValueError):
             certificate_from_json(obj)
 
