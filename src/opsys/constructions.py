@@ -38,7 +38,6 @@ from .systems import (
     derive_rng,
     derive_seed,
     from_span,
-    hermitian_basis,
 )
 
 __all__ = [
@@ -59,6 +58,13 @@ __all__ = [
     "threedim_clique",
     "two_clique",
 ]
+
+# Search budgets: restarts, retries and attempts per call.
+_ANTICLIQUE_RESTARTS = 24
+_SEPARATOR_RESTARTS = 40
+_THREEDIM_RETRIES = 50
+_TWO_CLIQUE_ATTEMPTS = 8
+_STEP_TRIES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +320,6 @@ def blocks_clique(
     inp: BlockHypothesisInput,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    step_tries: int = 64,
 ) -> Certificate:
     """Quantum k-clique of span{I, A_1, ..., A_(k^2)} under the staircase hypotheses.
 
@@ -344,7 +349,7 @@ def blocks_clique(
         u = cols @ a[:i, i]
         bprime = fixed - np.outer(u, u.conj())
         placed = False
-        for _ in range(step_tries):
+        for _ in range(_STEP_TRIES):
             ut = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             cand = bprime + np.outer(ut, ut.conj())
             s = stacked_singular_values(list(pushed[:i]) + [cand])
@@ -355,7 +360,7 @@ def blocks_clique(
                 break
         if not placed:
             raise SearchBudgetError(
-                f"no independent extension found at step {i + 1} after {step_tries} tries",
+                f"no independent extension found at step {i + 1} after {_STEP_TRIES} tries",
                 tuple(trace),
             )
     p = Projection.from_frame(_clique_frame(vs, n))
@@ -503,15 +508,17 @@ def anticlique_lowdim(
     k: int,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    restarts: int = 24,
 ) -> Certificate:
     """Quantum k-anticlique when dim(V) <= (n - k) / (k - 1).
 
-    Searches for an orthonormal k-frame on which every Hermitian basis
-    element compresses to a scalar.  The frame is found by a joint
-    Gauss-Newton solve of the orthonormality and scalar-compression
-    equations, with seeded randomized restarts; the result is orthonormalized
-    exactly and certified before being returned, so a returned certificate is
+    Searches for an orthonormal k-frame X on which every element of V's
+    stored basis compresses to a scalar: the residual stacks X*X - I_k and
+    the traceless parts of X*T_aX, T_a = B_a - (tr B_a / n) I.  The Hermitian
+    and anti-Hermitian parts of the T_a are a Parseval frame of the traceless
+    Hermitian part of V, so the objective is the one any real-orthonormal
+    Hermitian basis gives.  Joint Gauss-Newton solves run from seeded
+    restarts (a solver breakdown skips its restart); the frame is
+    orthonormalized exactly and certified, so a returned certificate is
     always sound.  Failure raises :class:`SearchBudgetError`.
     """
     n, d = v.n, v.dim
@@ -529,25 +536,25 @@ def anticlique_lowdim(
             return cert
         raise SearchBudgetError("scalar system failed to certify", cert.trace)
 
-    herm = hermitian_basis(v)
-    targets = herm[1:]  # traceless Hermitian directions
+    eye = np.eye(n, dtype=np.complex128)
+    traces = np.trace(v.basis, axis1=1, axis2=2)
+    stack = np.concatenate([eye[None], v.basis - (traces / n)[:, None, None] * eye])
 
     def resid(xr: np.ndarray) -> np.ndarray:
         x = unpack_real(xr, (n, k))
-        out = [pack_real(x.conj().T @ x - np.eye(k))]
-        for h in targets:
-            m = x.conj().T @ h @ x
-            m -= (np.trace(m) / k) * np.eye(k)
-            out.append(pack_real(m))
-        return np.concatenate(out)
+        m = x.conj().T @ stack @ x
+        m[0] -= np.eye(k)
+        m[1:] -= (np.trace(m[1:], axis1=1, axis2=2) / k)[:, None, None] * np.eye(k)
+        return pack_real(m)
 
     rng = np.random.default_rng(seed)
-    for attempt in range(restarts):
+    for attempt in range(_ANTICLIQUE_RESTARTS):
         x0 = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         x0, _ = np.linalg.qr(x0)
-        sol = scipy.optimize.least_squares(
-            resid, pack_real(x0), method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400
-        )
+        sol = _trf_solve(resid, pack_real(x0), 400)
+        if sol is None:
+            trace.append(f"attempt {attempt}: solver breakdown")
+            continue
         x = unpack_real(sol.x, (n, k))
         u, _, vh = np.linalg.svd(x, full_matrices=False)
         frame = u @ vh
@@ -564,8 +571,18 @@ def anticlique_lowdim(
             f"compressed dim {cert.compressed_dim}"
         )
     raise SearchBudgetError(
-        f"no anticlique frame found in {restarts} restarts", tuple(trace)
+        f"no anticlique frame found in {_ANTICLIQUE_RESTARTS} restarts", tuple(trace)
     )
+
+
+def _trf_solve(resid, x0: np.ndarray, max_nfev: int):
+    """Trust-region least-squares solve from ``x0``; ``None`` if LAPACK breaks down in it."""
+    try:
+        return scipy.optimize.least_squares(
+            resid, x0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_nfev
+        )
+    except np.linalg.LinAlgError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +595,6 @@ def _solve_forms(
     targets: Sequence[float],
     inits: Sequence[np.ndarray],
     rng: np.random.Generator,
-    restarts: int,
 ) -> np.ndarray | None:
     """Unit vector with prescribed quadratic forms against Hermitian ``mats``."""
     n = mats[0].shape[0]
@@ -590,15 +606,12 @@ def _solve_forms(
         return np.asarray(vals)
 
     starts = list(inits)
-    while len(starts) < restarts:
+    while len(starts) < _SEPARATOR_RESTARTS:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(z / np.linalg.norm(z))
     for x0 in starts:
-        sol = scipy.optimize.least_squares(
-            resid, pack_real(np.asarray(x0, dtype=np.complex128)),
-            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=300,
-        )
-        if float(np.max(np.abs(sol.fun))) < 1e-11:
+        sol = _trf_solve(resid, pack_real(np.asarray(x0, dtype=np.complex128)), 300)
+        if sol is not None and float(np.max(np.abs(sol.fun))) < 1e-11:
             x = unpack_real(sol.x, (n,))
             return x / np.linalg.norm(x)
     return None
@@ -610,7 +623,6 @@ def rank2_separator(
     b,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    restarts: int = 40,
 ) -> np.ndarray:
     """Rank-2 Hermitian C with Tr(C) = Tr(A1 C) = Tr(A2 C) = 0 and Tr(B C) != 0.
 
@@ -650,8 +662,8 @@ def rank2_separator(
     rng = np.random.default_rng(seed)
     init_pos = f[:, pos] @ np.sqrt(lam[pos] / alpha).astype(complex)
     init_neg = f[:, neg] @ np.sqrt(-lam[neg] / alpha).astype(complex)
-    vvec = _solve_forms([a1, a2, bm], targets(b_pos), [init_pos], rng, restarts)
-    wvec = _solve_forms([a1, a2, bm], targets(b_neg), [init_neg], rng, restarts)
+    vvec = _solve_forms([a1, a2, bm], targets(b_pos), [init_pos], rng)
+    wvec = _solve_forms([a1, a2, bm], targets(b_neg), [init_neg], rng)
     if vvec is None or wvec is None:
         raise SearchBudgetError("quadratic-form targets not reached within budget")
     c = alpha * (np.outer(vvec, vvec.conj()) - np.outer(wvec, wvec.conj()))
@@ -667,7 +679,6 @@ def threedim_clique(
     mats,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    retries: int = 50,
 ) -> Projection:
     """Rank-2 projection making four independent 3x3 Hermitians stay independent.
 
@@ -687,21 +698,16 @@ def threedim_clique(
     if rank_at(s, tol.rank_rel) != 4:
         raise ValueError("matrices must span a four-dimensional space")
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(_THREEDIM_RETRIES):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        rows = np.stack(
-            [
-                [np.vdot(v, a @ v), np.vdot(w, a @ v), np.vdot(v, a @ w), np.vdot(w, a @ w)]
-                for a in stack
-            ]
-        )
+        rows = np.stack([[np.vdot(x, a @ y) for y in (v, w) for x in (v, w)] for a in stack])
         sv = np.linalg.svd(rows, compute_uv=False)
         if sv[-1] > 1e-6 * sv[0]:
             p = projection_from_vectors([v, w], tol)
             if p.k == 2:
                 return p
-    raise SearchBudgetError(f"no nonsingular pair found in {retries} tries")
+    raise SearchBudgetError(f"no nonsingular pair found in {_THREEDIM_RETRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +789,17 @@ def two_clique(
     v: OperatorSystem,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    attempts: int = 8,
 ) -> Certificate:
     """Quantum 2-clique of any operator system with dim >= 4.
 
-    Reduces to a four-dimensional subsystem span{I, A1, A2, A3}, finds a rank
-    <= 3 projection keeping {I, A1, A2} independent, completes with a fourth
-    Hermitian, runs the 3x3 search for a rank-2 projection Q, and if the
-    compression of A3 at Q is dependent, augments Q by one vector produced by
-    the rank-2 separator and re-runs the 3x3 search.
+    Each attempt draws a fresh four-dimensional subsystem span{I, A1, A2, A3}
+    (a 2-clique of it is one of V): three Gaussian Hermitians (Z + Z*)/2,
+    Z = sum_a g_a B_a over V's stored basis, made traceless and
+    real-orthonormal by one QR.  It finds a rank <= 3 projection keeping
+    {I, A1, A2} independent, completes with a fourth Hermitian, runs the 3x3
+    search for a rank-2 projection Q, and if the compression of A3 at Q is
+    dependent, augments Q by one vector produced by the rank-2 separator and
+    re-runs the 3x3 search.
     """
     if v.dim < 4:
         raise ValueError(f"need dim(V) >= 4, got {v.dim}")
@@ -801,22 +809,20 @@ def two_clique(
         p = Projection.coordinate(2, range(2))
         return certify(v, p, 2, tol, seed=seed, trace=("full system in M_2",))
 
-    herm = hermitian_basis(v)
-    if herm.shape[0] < 4:
-        raise SearchBudgetError("Hermitian part is numerically too small")
     eye = np.eye(n, dtype=np.complex128)
     trace: list[str] = []
     last_error = "no attempt ran"
-    for attempt in range(attempts):
+    for attempt in range(_TWO_CLIQUE_ATTEMPTS):
         rng = derive_rng(seed, attempt)
-        if attempt == 0:
-            a1, a2, a3 = herm[1], herm[2], herm[3]
-        else:
-            # random real rotation of the traceless directions, for retries
-            g = rng.standard_normal((3, 3))
-            qmix, _ = np.linalg.qr(g)
-            mix = np.einsum("ab,bij->aij", qmix, herm[1:4], optimize=True)
-            a1, a2, a3 = mix[0], mix[1], mix[2]
+        g = rng.standard_normal((3, v.dim)) + 1j * rng.standard_normal((3, v.dim))
+        z = np.tensordot(g, v.basis, 1)
+        herm = (z + z.conj().transpose(0, 2, 1)) / 2
+        herm -= (np.trace(herm, axis1=1, axis2=2) / n)[:, None, None] * eye
+        q, r = np.linalg.qr(np.stack([pack_real(h) for h in herm], axis=1))
+        if abs(r[2, 2]) <= tol.rank_rel * abs(r[0, 0]):
+            last_error = "drawn Hermitian triple is dependent"
+            continue
+        a1, a2, a3 = (unpack_real(col, (n, n)) for col in q.T)
         frame3 = None
         for left, right, third in ((a1, a2, a3), (a1, a3, a2), (a2, a3, a1)):
             frame3 = _claim_frame(left, right, rng)
@@ -851,12 +857,7 @@ def two_clique(
             continue
         q_frame = np.linalg.qr(frame3 @ q_small.frame)[0]
 
-        full = np.stack(
-            [
-                q_frame.conj().T @ m @ q_frame
-                for m in (eye, a1, a2, a3)
-            ]
-        )
+        full = np.stack([q_frame.conj().T @ m @ q_frame for m in (eye, a1, a2, a3)])
         s = stacked_singular_values(list(full))
         if rank_at(s, tol.rank_rel) == 4:
             cert = certify(v, Projection.from_frame(q_frame), 2, tol, seed=seed, trace=tuple(trace))
@@ -870,14 +871,9 @@ def two_clique(
         coeffs, *_ = np.linalg.lstsq(flat3, pack_real(full[3]), rcond=None)
         al, be, ga = (float(c) for c in coeffs)
         combo = al * eye + be * a1 + ga * a2
-        bperp = a3.copy()
-        for m in (eye / hs_norm(eye), a1, a2):
-            mm = m / hs_norm(m)
-            bperp -= np.real(np.trace(mm.conj().T @ bperp)) * mm
-        # re-orthogonalize once; the Hermitian basis is orthonormal so one
-        # pass against the normalized identity suffices
         try:
-            sep = rank2_separator(a1, a2, bperp, seed=derive_seed(seed, attempt, 2), tol=tol)
+            # a3 is traceless and real-orthogonal to a1 and a2 by construction
+            sep = rank2_separator(a1, a2, a3, seed=derive_seed(seed, attempt, 2), tol=tol)
         except (SearchBudgetError, ValueError) as exc:
             last_error = f"separator failed: {exc}"
             continue

@@ -237,6 +237,8 @@ def hermitian_basis(v: OperatorSystem) -> np.ndarray:
     projection onto the traceless Hermitian part of V, written in that
     basis.  Its ``v.dim - 1`` nonzero singular values are therefore all 1,
     and LAPACK returns an arbitrary rotation of the basis within the span.
+    No pipeline stage calls it.  It stays as public API, as the tests'
+    reference for the stored-basis constructions, and as a benchmark layer.
     """
     n = v.n
     flat = np.stack([pack_real(h) for a in v.basis for h in hermitian_split(a)])
@@ -244,7 +246,7 @@ def hermitian_basis(v: OperatorSystem) -> np.ndarray:
     iflat = pack_real(ident)
     flat = flat - np.outer(flat @ iflat, iflat)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    r = rank_at(s, DEFAULT_TOL.rank_rel)
+    r = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel))  # against 1, not the rounding of span{I}
     return np.stack([ident] + [unpack_real(row, (n, n)) for row in vh[:r]])
 
 

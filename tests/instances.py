@@ -1,8 +1,23 @@
-"""Admissible instance generators shared across test modules."""
+"""Admissible instance generators and test helpers shared across test modules."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.optimize
+
+
+def fail_first_solve(monkeypatch) -> None:
+    """Make the next ``scipy.optimize.least_squares`` call raise LAPACK's breakdown error."""
+    real = scipy.optimize.least_squares
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
 
 
 def staircase_instance(k: int, seed: int) -> np.ndarray:

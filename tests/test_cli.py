@@ -18,6 +18,8 @@ from opsys.serialize import (
 )
 from opsys.systems import random_system
 
+from instances import fail_first_solve
+
 
 @pytest.fixture()
 def system_file(tmp_path):
@@ -111,6 +113,13 @@ class TestFind:
         )
         assert code == 0
         assert read_json(out)["kind"] == "anticlique"
+
+    def test_anticlique_mode_survives_solver_breakdown(self, capsys, system_file, monkeypatch):
+        # a LAPACK error inside one least-squares solve is no traceback
+        path = system_file("v.json", 7, 3)
+        fail_first_solve(monkeypatch)
+        code, _, _ = run(capsys, "find", path, "--k", "2", "--mode", "anticlique")
+        assert code in (0, 2)
 
     def test_mode_filter_exit_two(self, capsys, system_file):
         # a full matrix algebra has no 2-anticlique: demanding one exits 2

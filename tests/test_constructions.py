@@ -21,20 +21,24 @@ from opsys.constructions import (
     threedim_clique,
     two_clique,
 )
+import opsys.constructions
+import opsys.systems
 from opsys.errors import SearchBudgetError
 from opsys.linalg import Projection, hs_inner, numerical_rank
 from opsys.ramsey import diagonal_route
 from opsys.systems import (
     Kind,
+    OperatorSystem,
     certify,
     from_span,
+    haar_unitary,
     random_diagonal_system,
     random_hermitian,
     random_projection,
     random_system,
 )
 
-from instances import chain_instance, staircase_instance
+from instances import chain_instance, fail_first_solve, staircase_instance
 
 
 class TestSimpleGraph:
@@ -383,7 +387,95 @@ class TestTwoClique:
             two_clique(random_system(4, 3, seed=0))
 
     def test_graph_systems(self):
-        g = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-        v = graph_operator_system(g)
-        cert = two_clique(v, seed=2)
+        cert = two_clique(pentagon_system(), seed=2)
         assert cert.kind is Kind.CLIQUE
+
+
+def pentagon_system():
+    g = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    return graph_operator_system(g)
+
+
+class TestSolverBreakdown:
+    """A LAPACK breakdown inside ``least_squares`` costs one restart, not the search."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_anticlique_lowdim_skips_the_restart(self, monkeypatch, seed):
+        fail_first_solve(monkeypatch)
+        cert = anticlique_lowdim(random_system(7, 3, seed=seed), 2, seed=seed)
+        assert cert.kind is Kind.ANTICLIQUE
+        assert "attempt 0: solver breakdown" in cert.trace
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diagonal_route_returns_a_certificate(self, monkeypatch, seed):
+        fail_first_solve(monkeypatch)
+        cert = diagonal_route(random_diagonal_system(7, 4, seed=seed), 2, seed=seed)
+        assert cert.kind is Kind.ANTICLIQUE
+        assert "attempt 0: solver breakdown" in cert.trace
+
+
+class TestNoHermitianBasis:
+    """The desk-scale constructions read V's stored basis, never ``hermitian_basis``."""
+
+    def test_constructions_do_not_bind_it(self):
+        assert not hasattr(opsys.constructions, "hermitian_basis")
+
+    def test_constructions_certify_without_it(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("hermitian_basis called")
+
+        monkeypatch.setattr(opsys.systems, "hermitian_basis", refuse)
+        assert anticlique_lowdim(random_system(7, 3, seed=0), 2, seed=0).kind is Kind.ANTICLIQUE
+        assert two_clique(random_system(6, 11, seed=1), seed=1).kind is Kind.CLIQUE
+        assert two_clique(pentagon_system(), seed=2).kind is Kind.CLIQUE
+
+
+def mixed_basis(v, seed):
+    """The same span as ``v`` rebuilt from a random invertible mix of its basis."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((v.dim, v.dim)) + 1j * rng.standard_normal((v.dim, v.dim))
+    mixed = from_span(list(np.tensordot(g, v.basis, 1)), v.n)
+    assert mixed.dim == v.dim
+    return mixed
+
+
+def conjugated(v, u):
+    return OperatorSystem(v.n, u @ v.basis @ u.conj().T)
+
+
+def assert_same_verdicts(v, w, p, k):
+    a, b = certify(v, p, k), certify(w, p, k)
+    assert (a.kind, a.compressed_dim) == (b.kind, b.compressed_dim)
+
+
+class TestBasisInvariance:
+    """Verdicts depend on V, not on the basis it is stored in nor on a unitary frame."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 2), (7, 2), (9, 3)]), st.integers(1, 5))
+    def test_anticlique_lowdim(self, seed, shape, d):
+        n, k = shape
+        v = random_system(n, min(d, (n - k) // (k - 1)), seed=seed)
+        mixed = mixed_basis(v, seed + 1)
+        cert = anticlique_lowdim(mixed, k, seed=seed)
+        assert cert.kind is Kind.ANTICLIQUE and cert.compressed_dim == 1
+        assert_same_verdicts(v, mixed, cert.projection, k)
+        u = haar_unitary(np.random.default_rng(seed + 2), n)
+        cert = anticlique_lowdim(conjugated(v, u), k, seed=seed)
+        assert cert.kind is Kind.ANTICLIQUE and cert.compressed_dim == 1
+        back = Projection.from_frame(u.conj().T @ cert.projection.frame)
+        assert certify(v, back, k).kind is Kind.ANTICLIQUE
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(4, 36))
+    def test_two_clique(self, seed, n, d):
+        v = random_system(n, min(d, n * n), seed=seed)
+        mixed = mixed_basis(v, seed + 1)
+        cert = two_clique(mixed, seed=seed)
+        assert cert.kind is Kind.CLIQUE and cert.compressed_dim == 4
+        assert_same_verdicts(v, mixed, cert.projection, 2)
+        u = haar_unitary(np.random.default_rng(seed + 2), n)
+        cert = two_clique(conjugated(v, u), seed=seed)
+        assert cert.kind is Kind.CLIQUE and cert.compressed_dim == 4
+        back = Projection.from_frame(u.conj().T @ cert.projection.frame)
+        assert certify(v, back, 2).kind is Kind.CLIQUE

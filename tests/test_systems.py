@@ -227,12 +227,38 @@ class TestHermitianBasis:
         for m in h:
             assert np.allclose(m, m.conj().T, atol=1e-10)
 
+    def test_scalars_have_no_traceless_part(self):
+        # the SVD input is rounding noise here; noise must not count as rank
+        for n in range(1, 8):
+            assert hermitian_basis(from_span([], n)).shape == (1, n, n)
+
     def test_real_orthonormal(self):
         v = random_system(4, 7, seed=5)
         h = hermitian_basis(v)
         flat = h.reshape(h.shape[0], -1)
         gram = (flat @ flat.conj().T).real
         assert np.allclose(gram, np.eye(h.shape[0]), atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 3), st.integers(1, 49))
+def test_stored_basis_objective_matches_hermitian_basis(seed, n, k, d):
+    """Traceless parts of V's stored basis give the objective of a real-orthonormal
+    Hermitian basis: their Hermitian and anti-Hermitian parts are a Parseval frame
+    of the traceless Hermitian part of V."""
+    k = min(k, n)
+    v = random_system(n, min(d, n * n), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+
+    def objective(stack):
+        m = x.conj().T @ stack @ x
+        m -= (np.trace(m, axis1=1, axis2=2) / k)[:, None, None] * np.eye(k)
+        return float(np.sum(np.abs(m) ** 2))
+
+    traces = np.trace(v.basis, axis1=1, axis2=2)
+    stored = v.basis - (traces / n)[:, None, None] * np.eye(n)
+    assert objective(stored) == pytest.approx(objective(hermitian_basis(v)[1:]), rel=1e-9, abs=1e-9)
 
 
 class TestRandomGenerators:
