@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -135,15 +136,11 @@ def cmd_find(
     v = _load(input_path, serialize.system_from_json, "operator system")
     if not 1 <= k <= v.n:
         raise click.UsageError(f"need 1 <= k <= {v.n}, got k = {k}")
-    base = SearchParams.for_k(k, seed=seed)
+    overrides = {"orbit_threshold": orbit_threshold, "phase1_steps": phase1_steps,
+                 "phase2_steps": phase2_steps, "retry_budget": retry_budget}
     try:
-        params = SearchParams(
-            base.orbit_threshold if orbit_threshold is None else orbit_threshold,
-            base.phase1_steps if phase1_steps is None else phase1_steps,
-            base.phase2_steps if phase2_steps is None else phase2_steps,
-            base.retry_budget if retry_budget is None else retry_budget,
-            seed,
-        )
+        params = replace(SearchParams.for_k(k, seed=seed),
+                         **{name: x for name, x in overrides.items() if x is not None})
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 

@@ -483,12 +483,8 @@ def blocks2_clique(
         bs[j - 1] = h_full / lam_val
         trace.append(f"block {j}: dependent tails, window vector with form 1 extracted")
 
-    frame_cols = [picked[j] for j in range(kk)]
-    for extra in range(m_chain, n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[extra] = 1.0
-        frame_cols.append(e)
-    wf = Projection.from_frame(np.stack(frame_cols, axis=1))  # (n, k^2 + k - 1) isometry
+    # (n, k^2 + k - 1) isometry: the window vectors, then the trailing coordinates
+    wf = Projection.from_frame(np.concatenate([picked.T, np.eye(n)[:, m_chain:]], axis=1))
     compressed = wf.compress_stack(bs)
     sub_cert = blocks_clique(BlockHypothesisInput(k, compressed), seed=derive_seed(seed, 1), tol=tol)
     frame = wf.frame @ sub_cert.projection.frame

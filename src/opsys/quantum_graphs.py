@@ -11,14 +11,17 @@ the graph induced by the block components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from .constructions import SimpleGraph
 from .linalg import DEFAULT_TOL, Projection, Tolerance, as_matrix, span_residuals
-from .ramsey import SearchParams, find_clique_or_anticlique
+from .ramsey import _ANY, _DECIDED, SearchParams, _Candidate, _first_certified
+from .ramsey import find_clique_or_anticlique
 from .systems import (
     Certificate,
     Kind,
@@ -168,12 +171,8 @@ class QuantumGraph:
 
 
 def generalized_certify(
-    qg: QuantumGraph,
-    p: Projection,
-    k: int,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int | None = None,
-    trace: tuple[str, ...] = (),
+    qg: QuantumGraph, p: Projection, k: int, tol: Tolerance = DEFAULT_TOL,
+    seed: int | None = None, trace: tuple[str, ...] = (),
 ) -> Certificate:
     """Certify a projection inside the algebra as a generalized (anti)clique.
 
@@ -267,42 +266,32 @@ def block_restriction(v: OperatorSystem, m: MatrixAlgebra, i: int) -> OperatorSy
 def tensor_factor(
     vb: OperatorSystem, ni: int, di: int, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorSystem | None:
-    """Extract W with vb = W ⊗ M_d, verifying the reconstruction; None if not."""
+    """Extract W with vb = W ⊗ M_d, or None if vb is not such a product.
+
+    W is spanned by the (n_i × n_i) slices of vb's basis, so vb ⊆ W ⊗ M_d
+    always holds, and equal dimensions force equality.
+    """
     if vb.n != ni * di:
         raise ValueError("block system dimension does not match (n_i, d_i)")
     mats = vb.basis.reshape(vb.dim, ni, di, ni, di)
     slices = mats.transpose(0, 2, 4, 1, 3).reshape(vb.dim * di * di, ni, ni)
     w = from_span(list(slices), ni, tol)
-    if w.dim * di * di != vb.dim:
-        return None
-    # The reconstructions e ⊗ E_bb′ are HS-orthonormal and there are vb.dim of
-    # them, so they span vb exactly when each one lies in it.
-    eye = np.eye(di)
-    recon = np.einsum("wij,bx,cy->wbcixjy", w.basis, eye, eye)
-    if not (span_residuals(vb.basis, recon.reshape(-1, vb.n, vb.n)) <= tol.rank_rel).all():
-        return None
-    return w
+    return w if w.dim * di * di == vb.dim else None
 
 
-def _embedded_frame(
-    m: MatrixAlgebra, i: int, q_frame: np.ndarray
-) -> np.ndarray:
-    """Ambient frame for (q ⊗ I_{d_i}) supported on block i."""
-    ni, di = m.blocks[i]
+def _embedded_frame(m: MatrixAlgebra, i: int, q_frame: np.ndarray) -> np.ndarray:
+    """Ambient frame for (q ⊗ I_{d_i}) supported on block i: column (a, b) is q_a on copy b."""
     cs = m.coords[i]
-    cols = []
-    for a in range(q_frame.shape[1]):
-        for b in range(di):
-            col = np.zeros(m.n, dtype=np.complex128)
-            col[cs[:, b]] = q_frame[:, a]
-            cols.append(col)
-    return np.stack(cols, axis=1)
+    frame = np.zeros((m.n, q_frame.shape[1], cs.shape[1]), dtype=np.complex128)
+    frame[cs, :, np.arange(cs.shape[1])] = q_frame[:, None, :]
+    return frame.reshape(m.n, -1)
 
 
-def _random_block_unit(m: MatrixAlgebra, i: int, rng: np.random.Generator) -> np.ndarray:
+def _random_block_frame(m: MatrixAlgebra, i: int, rng: np.random.Generator) -> np.ndarray:
+    """Ambient frame for (q ⊗ I_{d_i}) on block i, q a random unit vector."""
     ni = m.blocks[i][0]
     z = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
-    return (z / np.linalg.norm(z)).reshape(ni, 1)
+    return _embedded_frame(m, i, (z / np.linalg.norm(z)).reshape(ni, 1))
 
 
 def _induced_block_graph(v: OperatorSystem, m: MatrixAlgebra) -> SimpleGraph:
@@ -321,10 +310,7 @@ def _induced_block_graph(v: OperatorSystem, m: MatrixAlgebra) -> SimpleGraph:
 
 
 def general_find(
-    qg: QuantumGraph,
-    k: int,
-    params: SearchParams | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    qg: QuantumGraph, k: int, params: SearchParams | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
     """Generalized clique-or-anticlique search over a quantum graph.
 
@@ -333,8 +319,10 @@ def general_find(
     d_i ≥ k certifies immediately; otherwise each block is tried through the
     tensor factorization (largest n_i·d_i first), and finally the induced
     classical graph on blocks goes through the classical Ramsey extraction.
-    The returned projection always lies in the algebra and may have rank
-    larger than k; Neither-with-trace is the honest desk-scale fallback.
+    Each route yields candidates to the loop :func:`find_clique_or_anticlique`
+    uses, which re-certifies them with :func:`generalized_certify`.  The
+    returned projection always lies in the algebra and may have rank larger
+    than k; Neither-with-trace is the honest desk-scale fallback.
     """
     v, m = qg.system, qg.algebra
     n = v.n
@@ -342,75 +330,82 @@ def general_find(
         params = SearchParams.for_k(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k = {k}")
-    r = len(m.blocks)
-    if r == 1 and m.blocks[0][1] == 1:
+    if len(m.blocks) == 1 and m.blocks[0][1] == 1:
         return find_clique_or_anticlique(v, k, params, tol)
-
     trace: list[str] = []
-    order = sorted(range(r), key=lambda i: -(m.blocks[i][0] * m.blocks[i][1]))
+    order = sorted(range(len(m.blocks)), key=lambda i: -(m.blocks[i][0] * m.blocks[i][1]))
+    candidates = chain(
+        _multiplicity_route(m, k, params, trace, order),
+        _tensor_route(qg, k, params, tol, trace, order),
+        _classical_route(qg, k, params, trace),
+        _fallback_route(m, k, trace, order),
+    )
+    check = partial(generalized_certify, qg, tol=tol, seed=params.seed)
+    return _first_certified(candidates, check, trace)
 
+
+def _multiplicity_route(
+    m: MatrixAlgebra, k: int, params: SearchParams, trace: list[str], order: list[int]
+) -> Iterator[_Candidate]:
+    """A block with d_i ≥ k: a random unit vector of it tensored with I_{d_i}."""
     for i in order:
-        ni, di = m.blocks[i]
-        if di >= k:
-            q = _random_block_unit(m, i, derive_rng(params.seed, 4, i))
-            p = Projection.from_frame(_embedded_frame(m, i, q))
-            cert = generalized_certify(qg, p, di, tol, seed=params.seed, trace=tuple(trace))
-            if cert.kind is not Kind.NEITHER:
-                return cert
-            trace.append(f"block {i}: multiplicity {di} >= k but certification failed")
+        if m.blocks[i][1] >= k:
+            frame = _random_block_frame(m, i, derive_rng(params.seed, 4, i))
+            yield Projection.from_frame(frame), _DECIDED, ()
+            trace.append(f"block {i}: multiplicity {m.blocks[i][1]} >= k but certification failed")
 
+
+def _tensor_route(
+    qg: QuantumGraph, k: int, params: SearchParams, tol: Tolerance, trace: list[str],
+    order: list[int],
+) -> Iterator[_Candidate]:
+    """Factor block i's restriction as W ⊗ M_{d_i} and search W for rank ⌈k/d_i⌉."""
+    m = qg.algebra
     for i in order:
         ni, di = m.blocks[i]
         ksub = -(-k // di)
         if ksub > ni or ni < 2:
             continue
-        vb = block_restriction(v, m, i)
-        w = tensor_factor(vb, ni, di, tol)
+        w = tensor_factor(block_restriction(qg.system, m, i), ni, di, tol)
         if w is None:
             trace.append(f"block {i}: tensor factorization check failed")
             continue
-        sub_params = SearchParams(
-            params.orbit_threshold,
-            params.phase1_steps,
-            params.phase2_steps,
-            params.retry_budget,
-            derive_seed(params.seed, 6, i),
-        )
+        sub_params = replace(params, seed=derive_seed(params.seed, 6, i))
         sub_cert = find_clique_or_anticlique(w, ksub, sub_params, tol)
         if sub_cert.kind is Kind.NEITHER:
             trace.append(f"block {i}: factor search returned neither")
             continue
-        p = Projection.from_frame(_embedded_frame(m, i, sub_cert.projection.frame))
-        cert = generalized_certify(qg, p, ksub * di, tol, seed=params.seed, trace=tuple(trace))
-        if cert.kind is not Kind.NEITHER:
-            return cert
+        yield Projection.from_frame(_embedded_frame(m, i, sub_cert.projection.frame)), _DECIDED, ()
         trace.append(f"block {i}: lifted tensor certificate failed re-certification")
 
-    if r >= k:
-        graph = _induced_block_graph(v, m)
-        got = classical_ramsey_extract(graph, k)
-        if got is None:
-            trace.append(f"classical route: no k-set in the {r}-block induced graph")
-        else:
-            verts, kind = got
-            for t in range(params.retry_budget):
-                frames = [
-                    _embedded_frame(
-                        m, i - 1, _random_block_unit(m, i - 1, derive_rng(params.seed, 5, t, i))
-                    )
-                    for i in verts
-                ]
-                p = Projection.from_frame(np.concatenate(frames, axis=1))
-                cert = generalized_certify(qg, p, p.k, tol, seed=params.seed, trace=tuple(trace))
-                if cert.kind is kind:
-                    return cert
-            trace.append(
-                f"classical route: extracted {kind.value} on blocks {verts} "
-                f"failed certification in {params.retry_budget} draws"
-            )
-    else:
-        trace.append(f"classical route: only {r} blocks for k = {k}")
 
+def _classical_route(
+    qg: QuantumGraph, k: int, params: SearchParams, trace: list[str]
+) -> Iterator[_Candidate]:
+    """A classical k-set of the induced block graph, one random unit per block."""
+    m = qg.algebra
+    r = len(m.blocks)
+    if r < k:
+        trace.append(f"classical route: only {r} blocks for k = {k}")
+        return
+    got = classical_ramsey_extract(_induced_block_graph(qg.system, m), k)
+    if got is None:
+        trace.append(f"classical route: no k-set in the {r}-block induced graph")
+        return
+    verts, kind = got
+    for t in range(params.retry_budget):
+        frames = [_random_block_frame(m, i - 1, derive_rng(params.seed, 5, t, i)) for i in verts]
+        yield Projection.from_frame(np.concatenate(frames, axis=1)), (kind,), ()
+    trace.append(
+        f"classical route: extracted {kind.value} on blocks {verts} "
+        f"failed certification in {params.retry_budget} draws"
+    )
+
+
+def _fallback_route(
+    m: MatrixAlgebra, k: int, trace: list[str], order: list[int]
+) -> Iterator[_Candidate]:
+    """Leading coordinates of the largest blocks until the rank reaches k; any verdict."""
     rank = 0
     frames = []
     for i in order:
@@ -418,10 +413,7 @@ def general_find(
             break
         ni, di = m.blocks[i]
         take = min(ni, -(-(k - rank) // di))
-        q = np.zeros((ni, take), dtype=np.complex128)
-        q[np.arange(take), np.arange(take)] = 1.0
-        frames.append(_embedded_frame(m, i, q))
+        frames.append(_embedded_frame(m, i, np.eye(ni, take, dtype=np.complex128)))
         rank += take * di
-    p = Projection.from_frame(np.concatenate(frames, axis=1))
     trace.append("fallback projection certified honestly")
-    return generalized_certify(qg, p, p.k, tol, seed=params.seed, trace=tuple(trace))
+    yield Projection.from_frame(np.concatenate(frames, axis=1)), _ANY, ()

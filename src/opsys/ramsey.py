@@ -4,14 +4,18 @@ Three layers: the diagonal trichotomy (clique by coordinate selection,
 anticlique by the low-dimension extractor, or an honest Neither), the
 phase-1 search for vectors with small orbits whose accumulated compression
 is diagonal, and the phase-2 chain construction feeding the staircase
-clique machinery.  At the guaranteed ambient scale one branch always fires;
-at desk scale Neither is a legitimate, fully traced outcome.
+clique machinery.  Each stage of ``find`` and each route of
+``quantum_graphs.general_find`` yields candidate projections; one loop,
+:func:`_first_certified`, re-certifies them and decides when to return.  At
+the guaranteed ambient scale one branch always fires; at desk scale Neither
+is a legitimate, fully traced outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Collection, Generator, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -87,10 +91,7 @@ def _diagonal_stack(v: OperatorSystem) -> np.ndarray:
 
 
 def diagonal_route(
-    v: OperatorSystem,
-    k: int,
-    tol: Tolerance = DEFAULT_TOL,
-    seed: int = 0,
+    v: OperatorSystem, k: int, tol: Tolerance = DEFAULT_TOL, seed: int = 0
 ) -> Certificate:
     """Clique or anticlique for a system of diagonal matrices.
 
@@ -148,10 +149,7 @@ def _orbit_orthocomplement(v: OperatorSystem, vectors: Sequence[np.ndarray]) -> 
 
 
 def phase1_vector_search(
-    v: OperatorSystem,
-    existing: Sequence[np.ndarray],
-    threshold: int,
-    seed: int = 0,
+    v: OperatorSystem, existing: Sequence[np.ndarray], threshold: int, seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray | None:
     """Unit vector orthogonal to all existing orbits with orbit dimension < threshold.
@@ -198,11 +196,7 @@ def _phase1_candidates(
 
 
 def _phase1_search(
-    v: OperatorSystem,
-    frame: np.ndarray,
-    threshold: int,
-    seed: int,
-    tol: Tolerance,
+    v: OperatorSystem, frame: np.ndarray, threshold: int, seed: int, tol: Tolerance
 ) -> np.ndarray | None:
     """:func:`phase1_vector_search` inside a precomputed orthocomplement ``frame``."""
     if frame.shape[1] == 0:
@@ -223,9 +217,7 @@ def _phase1_search(
 # ---------------------------------------------------------------------------
 
 
-def _forbidden_rows(
-    ws: Sequence[np.ndarray], chain: Sequence[np.ndarray]
-) -> np.ndarray:
+def _forbidden_rows(ws: Sequence[np.ndarray], chain: Sequence[np.ndarray]) -> np.ndarray:
     """Constraint rows: the next vector must be orthogonal to all of these."""
     rows = [w.conj() for w in ws]
     for b in chain:
@@ -236,10 +228,7 @@ def _forbidden_rows(
 
 
 def phase2_chain(
-    v: OperatorSystem,
-    steps: int,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    v: OperatorSystem, steps: int, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[str]]:
     """Grow a chain A_r with w_{r+1} proportional to A_r·w_r, each new vector
     orthogonal to the span of all previous w_j, A_i·w_j and A_i*·w_j.
@@ -248,10 +237,16 @@ def phase2_chain(
     orthogonality constraints leave no direction with a nonzero image — at
     desk scale that is the usual outcome and is recorded in the notes.
     """
-    n = v.n
     rng = derive_rng(seed, 0)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ws: list[np.ndarray] = [z / np.linalg.norm(z)]
+    z = rng.standard_normal(v.n) + 1j * rng.standard_normal(v.n)
+    return _phase2_chain(v, z / np.linalg.norm(z), steps, tol)
+
+
+def _phase2_chain(
+    v: OperatorSystem, w0: np.ndarray, steps: int, tol: Tolerance
+) -> tuple[list[np.ndarray], list[np.ndarray], list[str]]:
+    """:func:`phase2_chain` from the unit start vector ``w0``."""
+    ws: list[np.ndarray] = [w0]
     chain: list[np.ndarray] = []
     notes: list[str] = []
     for r in range(steps):
@@ -269,17 +264,13 @@ def phase2_chain(
         coeff = null @ vh[0].conj()
         a_mat = np.einsum("a,aij->ij", coeff, v.basis, optimize=True)
         y = a_mat @ wr
-        ny = float(np.linalg.norm(y))
         chain.append(a_mat)
-        ws.append(y / ny)
+        ws.append(y / np.linalg.norm(y))
     return ws, chain, notes
 
 
 def _padding_vectors(
-    v: OperatorSystem,
-    ws: list[np.ndarray],
-    chain: list[np.ndarray],
-    count: int,
+    v: OperatorSystem, ws: list[np.ndarray], chain: list[np.ndarray], count: int
 ) -> list[np.ndarray] | None:
     """Extra orthonormal vectors on which every chain matrix acts invisibly."""
     extras: list[np.ndarray] = []
@@ -293,17 +284,14 @@ def _padding_vectors(
 
 
 def find_clique_or_anticlique(
-    v: OperatorSystem,
-    k: int,
-    params: SearchParams | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    v: OperatorSystem, k: int, params: SearchParams | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> Certificate:
     """Top-level dichotomy search: phase 1, phase 2, then certified probes.
 
-    Returns a certificate of Kind.CLIQUE or Kind.ANTICLIQUE when any stage
-    lands one, and otherwise an honest Kind.NEITHER whose trace records what
-    each stage did.  All stages re-certify against the original system before
-    returning — nothing is trusted from the search itself.
+    Each stage yields candidate projections and one loop re-certifies them
+    against the original system, returning the first verdict its stage asked
+    for: nothing is trusted from the search itself.  The last candidate takes
+    any verdict, so Neither comes with a trace of what each stage did.
     """
     if params is None:
         params = SearchParams.for_k(k)
@@ -313,12 +301,49 @@ def find_clique_or_anticlique(
     if k == 1:
         # dim(P V P) = 1 = k^2 for every rank-1 projection: I compresses to it.
         return certify(v, Projection.coordinate(n, [0]), 1, tol, seed=params.seed)
-
     trace: list[str] = []
+    check = partial(certify, v, tol=tol, seed=params.seed)
+    return _first_certified(_find_candidates(v, k, params, tol, trace), check, trace)
 
-    # ---- phase 1: accumulate small-orbit vectors ---------------------------
-    # ``frame`` always spans the orthocomplement of the orbits of ``vectors``;
-    # phase 2 reuses it, so each vector set costs one null space.
+
+# A candidate: (projection, the verdicts that end the search, notes for its
+# certificate only).  Stages write their other notes to the shared trace;
+# code after a ``yield`` runs only when that candidate failed.
+_Candidate = tuple[Projection, Collection[Kind], tuple[str, ...]]
+_DECIDED = (Kind.CLIQUE, Kind.ANTICLIQUE)
+_ANY = tuple(Kind)
+
+
+def _first_certified(
+    candidates: Iterator[_Candidate], check: Callable[..., Certificate], trace: list[str]
+) -> Certificate:
+    """The first candidate whose verdict under ``check(p, p.k, trace=...)`` it wants."""
+    for p, wanted, notes in candidates:
+        cert = check(p, p.k, trace=(*trace, *notes))
+        if cert.kind in wanted:
+            return cert
+    raise AssertionError("the last candidate must accept every verdict")
+
+
+def _find_candidates(
+    v: OperatorSystem, k: int, params: SearchParams, tol: Tolerance, trace: list[str],
+    start: np.ndarray | None = None,
+) -> Iterator[_Candidate]:
+    """The stages of :func:`find_clique_or_anticlique`; ``start`` goes to phase 2."""
+    frame = yield from _phase1_stage(v, k, params, tol, trace)
+    yield from _phase2_stage(v, k, params, tol, trace, frame, start)
+    for t in range(params.retry_budget):
+        p = random_projection(v.n, k, derive_seed(params.seed, 3, t))
+        yield p, _DECIDED, (f"probe {t} certified",)
+    trace.append(f"probes: {params.retry_budget} random projections certified neither")
+    yield Projection.coordinate(v.n, range(k)), _ANY, ()
+
+
+def _phase1_stage(
+    v: OperatorSystem, k: int, params: SearchParams, tol: Tolerance, trace: list[str]
+) -> Generator[_Candidate, None, np.ndarray]:
+    """Collect small-orbit vectors, propose the diagonal route's lifted frame, and
+    return the orbits' orthocomplement for phase 2: one null space per vector set."""
     vectors: list[np.ndarray] = []
     frame = _orbit_orthocomplement(v, vectors)
     while len(vectors) < params.phase1_steps:
@@ -332,83 +357,73 @@ def find_clique_or_anticlique(
         frame = _orbit_orthocomplement(v, vectors)
     else:
         trace.append(f"phase 1: collected all {len(vectors)} vectors")
+    if not vectors:
+        return frame
 
-    if vectors:
-        w = np.stack(vectors, axis=1)
-        s = len(vectors)
-        comp = Projection.from_frame(w).compress_stack(v.basis)
-        diag_entries = np.diagonal(comp, axis1=1, axis2=2)
-        off = comp - np.einsum("ma,ab->mab", diag_entries, np.eye(s))
-        off_resid = float(np.abs(off).max())
-        scale = max(float(np.abs(comp).max()), 1e-300)
-        if off_resid > 1e-8 * scale:
-            trace.append(f"phase 1: compression not diagonal (residual {off_resid:.2e})")
-        elif s < k:
-            trace.append(f"phase 1: only {s} vectors for rank {k}")
+    w = np.stack(vectors, axis=1)
+    s = len(vectors)
+    comp = Projection.from_frame(w).compress_stack(v.basis)
+    diag_entries = np.diagonal(comp, axis1=1, axis2=2)
+    off = comp - np.einsum("ma,ab->mab", diag_entries, np.eye(s))
+    off_resid = float(np.abs(off).max())
+    scale = max(float(np.abs(comp).max()), 1e-300)
+    if off_resid > 1e-8 * scale:
+        trace.append(f"phase 1: compression not diagonal (residual {off_resid:.2e})")
+    elif s < k:
+        trace.append(f"phase 1: only {s} vectors for rank {k}")
+    else:
+        sub = from_span([np.diag(row) for row in diag_entries], s, tol)
+        try:
+            route = diagonal_route(sub, k, tol, seed=derive_seed(params.seed, 1, 10_000))
+        except (ValueError, SearchBudgetError) as exc:
+            trace.append(f"phase 1: diagonal route failed: {exc}")
         else:
-            sub = from_span([np.diag(row) for row in diag_entries], s, tol)
-            try:
-                route = diagonal_route(sub, k, tol, seed=derive_seed(params.seed, 1, 10_000))
-            except (ValueError, SearchBudgetError) as exc:
-                route = None
-                trace.append(f"phase 1: diagonal route failed: {exc}")
-            if route is not None and route.kind is not Kind.NEITHER:
-                lifted = Projection.from_frame(w @ route.projection.frame)
-                cert = certify(v, lifted, k, tol, seed=params.seed, trace=tuple(trace))
-                if cert.kind is not Kind.NEITHER:
-                    return cert
-                trace.append("phase 1: lifted certificate failed re-certification")
-            elif route is not None:
+            if route.kind is Kind.NEITHER:
                 trace.append("phase 1: diagonal route returned neither")
+            else:
+                yield Projection.from_frame(w @ route.projection.frame), _DECIDED, ()
+                trace.append("phase 1: lifted certificate failed re-certification")
+    return frame
 
-    # ---- phase 2: chain to the staircase construction ----------------------
+
+def _phase2_stage(
+    v: OperatorSystem, k: int, params: SearchParams, tol: Tolerance, trace: list[str],
+    frame: np.ndarray, start: np.ndarray | None,
+) -> Iterator[_Candidate]:
+    """Chain inside ``frame`` from ``start`` (None: a seeded draw) to a staircase clique."""
     m_chain = k**4 + k**3
     n_amb = m_chain + k - 1
-    residual: OperatorSystem | None
-    if frame.shape[1] == n:
+    if frame.shape[1] == v.n:
         residual = v
     elif frame.shape[1] >= n_amb:
         residual = compress_system(v, Projection.from_frame(frame), tol)
     else:
-        residual = None
         trace.append(
             f"phase 2: residual subspace dimension {frame.shape[1]} below chain ambient {n_amb}"
         )
-    if residual is not None:
-        steps = min(params.phase2_steps, m_chain)
+        return
+    steps = min(params.phase2_steps, m_chain)
+    if start is None:
         ws, chain, notes = phase2_chain(residual, steps, derive_seed(params.seed, 2), tol)
-        trace.extend(f"phase 2: {note}" for note in notes)
-        if len(chain) < m_chain:
-            trace.append(f"phase 2: chain reached {len(chain)} of {m_chain} matrices")
-        else:
-            extras = _padding_vectors(residual, ws, chain, n_amb - len(ws))
-            if extras is None:
-                trace.append("phase 2: no padding coordinates available")
-            else:
-                iso = Projection.from_frame(np.stack(list(ws) + extras, axis=1))
-                sub_basis = iso.compress_stack(residual.basis)
-                try:
-                    sub = from_span(list(sub_basis), n_amb, tol)
-                    comp_chain = iso.compress_stack(np.stack(chain))
-                    sub_cert = blocks2_clique(
-                        sub, comp_chain, k, seed=derive_seed(params.seed, 2, 1), tol=tol
-                    )
-                    lifted = Projection.from_frame(frame @ (iso.frame @ sub_cert.projection.frame))
-                    cert = certify(v, lifted, k, tol, seed=params.seed, trace=tuple(trace))
-                    if cert.kind is Kind.CLIQUE:
-                        return cert
-                    trace.append("phase 2: lifted chain certificate failed re-certification")
-                except (ValueError, SearchBudgetError) as exc:
-                    trace.append(f"phase 2: staircase hand-off failed: {exc}")
-
-    # ---- certified probes ---------------------------------------------------
-    for t in range(params.retry_budget):
-        p = random_projection(n, k, derive_seed(params.seed, 3, t))
-        cert = certify(
-            v, p, k, tol, seed=params.seed, trace=tuple(trace + [f"probe {t} certified"])
-        )
-        if cert.kind is not Kind.NEITHER:
-            return cert
-    trace.append(f"probes: {params.retry_budget} random projections certified neither")
-
-    return certify(v, Projection.coordinate(n, range(k)), k, tol, seed=params.seed, trace=tuple(trace))
+    else:
+        ws, chain, notes = _phase2_chain(residual, start, steps, tol)
+    trace.extend(f"phase 2: {note}" for note in notes)
+    if len(chain) < m_chain:
+        trace.append(f"phase 2: chain reached {len(chain)} of {m_chain} matrices")
+        return
+    extras = _padding_vectors(residual, ws, chain, n_amb - len(ws))
+    if extras is None:
+        trace.append("phase 2: no padding coordinates available")
+        return
+    iso = Projection.from_frame(np.stack(list(ws) + extras, axis=1))
+    sub_basis = iso.compress_stack(residual.basis)
+    try:
+        sub = from_span(list(sub_basis), n_amb, tol)
+        comp_chain = iso.compress_stack(np.stack(chain))
+        sub_cert = blocks2_clique(sub, comp_chain, k, seed=derive_seed(params.seed, 2, 1), tol=tol)
+        lifted = Projection.from_frame(frame @ (iso.frame @ sub_cert.projection.frame))
+    except (ValueError, SearchBudgetError) as exc:
+        trace.append(f"phase 2: staircase hand-off failed: {exc}")
+        return
+    yield lifted, (Kind.CLIQUE,), ()
+    trace.append("phase 2: lifted chain certificate failed re-certification")

@@ -394,6 +394,7 @@ class TestGeneralFind:
         qg = QuantumGraph(m, v)
         cert = general_find(qg, 2, SearchParams.for_k(2, seed=0))
         assert cert.kind is Kind.CLIQUE
+        assert cert.trace == ()
         assert commutes_with_commutant(cert.projection, m)
 
     def test_tensor_route(self):
@@ -406,6 +407,7 @@ class TestGeneralFind:
         qg = QuantumGraph(m, v)
         cert = general_find(qg, 3, SearchParams.for_k(3, seed=1))
         assert cert.kind is Kind.CLIQUE
+        assert cert.trace == ()
         assert cert.projection.k == 4
         assert commutes_with_commutant(cert.projection, m)
         re = generalized_certify(qg, cert.projection, cert.projection.k)
@@ -417,6 +419,7 @@ class TestGeneralFind:
         qg = QuantumGraph(MatrixAlgebra.diagonal(6), graph_operator_system(g))
         cert = general_find(qg, 3, SearchParams.for_k(3, seed=0))
         assert cert.kind is Kind.CLIQUE
+        assert cert.trace == ()
         assert commutes_with_commutant(cert.projection, MatrixAlgebra.diagonal(6))
 
     def test_classical_route_independent_set(self):
@@ -424,6 +427,20 @@ class TestGeneralFind:
         qg = QuantumGraph(MatrixAlgebra.diagonal(6), graph_operator_system(g))
         cert = general_find(qg, 3, SearchParams.for_k(3, seed=0))
         assert cert.kind is Kind.ANTICLIQUE
+        assert cert.trace == ()
+
+    def test_fallback_route(self):
+        # no block has multiplicity 3 or room for a rank-3 tensor search, and
+        # two blocks cannot hold a classical 3-set: the fallback decides
+        m = MatrixAlgebra.from_blocks([(2, 1), (1, 1)])
+        qg = QuantumGraph(m, from_span(list(commutant(m).basis), m.n))
+        cert = general_find(qg, 3, SearchParams.for_k(3, seed=0))
+        assert cert.kind is Kind.ANTICLIQUE
+        assert cert.projection.k == 3
+        assert cert.trace == (
+            "classical route: only 2 blocks for k = 3",
+            "fallback projection certified honestly",
+        )
 
     def test_results_recertify(self):
         # the commutant itself is always a bimodule over itself

@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import opsys.ramsey
 import opsys.systems
-from opsys.linalg import numerical_rank
+from opsys.linalg import DEFAULT_TOL, Projection, numerical_rank
 from opsys.ramsey import (
     SearchParams,
     diagonal_route,
@@ -13,6 +15,7 @@ from opsys.ramsey import (
     phase2_chain,
 )
 from opsys.systems import (
+    Certificate,
     Kind,
     certify,
     derive_seed,
@@ -23,6 +26,16 @@ from opsys.systems import (
     random_system,
 )
 from opsys.constructions import diagonal_system
+
+
+def tridiagonal_system(n):
+    mats = []
+    for j in range(n - 1):
+        e = np.zeros((n, n), dtype=complex)
+        e[j, j + 1] = 1.0
+        mats += [e + e.T, 1j * (e - e.T)]
+    mats += [np.diag(np.eye(n)[j]) for j in range(n)]
+    return from_span(mats, n)
 
 
 class TestSearchParams:
@@ -147,6 +160,27 @@ class TestPhase2:
         assert len(chain) < 50
         assert notes
 
+    def test_tridiagonal_system_decided_by_phase_2(self):
+        # T_25 = span{E_jj, E_j,j+1 + E_j+1,j, i(E_j,j+1 - E_j+1,j)}, dim 73.
+        # Orbit threshold 1 leaves phase 1 empty, so the chain gets all of
+        # C^25 = C^(k^4+k^3+k-1).  From e_0 it builds all 24 matrices and the
+        # lifted staircase clique certifies before any probe runs.
+        v = tridiagonal_system(25)
+        assert v.dim == 73
+        params = SearchParams(1, 1, 24, 1, seed=0)
+        trace = []
+        start = np.eye(25, dtype=complex)[0]
+        candidates = opsys.ramsey._find_candidates(v, 2, params, DEFAULT_TOL, trace, start)
+        check = partial(certify, v, seed=params.seed)
+        cert = opsys.ramsey._first_certified(candidates, check, trace)
+        assert cert.kind is Kind.CLIQUE
+        assert cert.trace == ("phase 1: stalled after 0 vectors",)
+        # from the seeded random start the chain stalls and probe 0 decides
+        for seed in range(3):
+            cert = find_clique_or_anticlique(v, 2, SearchParams(1, 1, 24, 1, seed=seed))
+            assert any(t.startswith("phase 2: chain stalled at step") for t in cert.trace)
+            assert cert.trace[-1] == "probe 0 certified"
+
 
 class TestFind:
     def test_k_one_is_immediate(self):
@@ -207,6 +241,36 @@ class TestFind:
         v = random_system(4, 16, seed=1)
         cert = find_clique_or_anticlique(v, 2, SearchParams.for_k(2))
         assert cert.kind is Kind.CLIQUE
+
+    def test_neither_traces_every_stage(self):
+        cert = find_clique_or_anticlique(
+            random_system(4, 2, seed=0), 2, SearchParams.for_k(2, seed=0)
+        )
+        assert cert.kind is Kind.NEITHER
+        assert cert.trace == (
+            "phase 1: stalled after 3 vectors",
+            "phase 1: diagonal route returned neither",
+            "phase 2: residual subspace dimension 0 below chain ambient 25",
+            "probes: 16 random projections certified neither",
+        )
+
+    def test_failed_recertification_is_traced(self, monkeypatch):
+        # a diagonal route that claims a clique it does not have: find must
+        # re-certify the lifted frame, note the failure and go on
+        def lying_route(sub, k, tol, seed=0):
+            return Certificate(Projection.coordinate(sub.n, range(k)), Kind.CLIQUE, k * k, k, tol)
+
+        monkeypatch.setattr(opsys.ramsey, "diagonal_route", lying_route)
+        cert = find_clique_or_anticlique(
+            random_system(8, 2, seed=1), 2, SearchParams.for_k(2, seed=1)
+        )
+        assert cert.kind is Kind.NEITHER
+        assert cert.trace == (
+            "phase 1: collected all 8 vectors",
+            "phase 1: lifted certificate failed re-certification",
+            "phase 2: residual subspace dimension 0 below chain ambient 25",
+            "probes: 16 random projections certified neither",
+        )
 
 
 class TestPhase1Cost:
