@@ -10,11 +10,10 @@ separator and 3x3 search step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import SearchBudgetError
 from .linalg import (
@@ -65,6 +64,13 @@ _SEPARATOR_RESTARTS = 40
 _THREEDIM_RETRIES = 50
 _TWO_CLIQUE_ATTEMPTS = 8
 _STEP_TRIES = 64
+# Damped Gauss-Newton: steps per solve, step halvings per step, and the
+# residual norm taken as zero.  Both residuals are O(1)-scaled (an
+# HS-orthonormal basis under an orthonormal frame; unit-vector forms), so
+# 1e-14 is rounding level, below the 1e-11 gate of ``_solve_forms``.
+_GN_STEPS = 100
+_GN_HALVINGS = 30
+_GN_ZERO = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +518,11 @@ def anticlique_lowdim(
     the traceless parts of X*T_aX, T_a = B_a - (tr B_a / n) I.  The Hermitian
     and anti-Hermitian parts of the T_a are a Parseval frame of the traceless
     Hermitian part of V, so the objective is the one any real-orthonormal
-    Hermitian basis gives.  Joint Gauss-Newton solves run from seeded
-    restarts (a solver breakdown skips its restart); the frame is
-    orthonormalized exactly and certified, so a returned certificate is
-    always sound.  Failure raises :class:`SearchBudgetError`.
+    Hermitian basis gives.  The residual is quadratic in X, so its Jacobian
+    is exact and cheap; damped Gauss-Newton solves run from seeded restarts
+    (a solver breakdown skips its restart).  The frame is orthonormalized
+    exactly and certified, so a returned certificate is always sound.
+    Failure raises :class:`SearchBudgetError`.
     """
     n, d = v.n, v.dim
     if k < 2:
@@ -532,22 +539,13 @@ def anticlique_lowdim(
             return cert
         raise SearchBudgetError("scalar system failed to certify", cert.trace)
 
-    eye = np.eye(n, dtype=np.complex128)
-    traces = np.trace(v.basis, axis1=1, axis2=2)
-    stack = np.concatenate([eye[None], v.basis - (traces / n)[:, None, None] * eye])
-
-    def resid(xr: np.ndarray) -> np.ndarray:
-        x = unpack_real(xr, (n, k))
-        m = x.conj().T @ stack @ x
-        m[0] -= np.eye(k)
-        m[1:] -= (np.trace(m[1:], axis1=1, axis2=2) / k)[:, None, None] * np.eye(k)
-        return pack_real(m)
+    resid, jac = _lowdim_residual(v, k)
 
     rng = np.random.default_rng(seed)
     for attempt in range(_ANTICLIQUE_RESTARTS):
         x0 = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         x0, _ = np.linalg.qr(x0)
-        sol = _trf_solve(resid, pack_real(x0), 400)
+        sol = _gauss_newton(resid, jac, pack_real(x0))
         if sol is None:
             trace.append(f"attempt {attempt}: solver breakdown")
             continue
@@ -571,19 +569,104 @@ def anticlique_lowdim(
     )
 
 
-def _trf_solve(resid, x0: np.ndarray, max_nfev: int):
-    """Trust-region least-squares solve from ``x0``; ``None`` if LAPACK breaks down in it."""
+def _lowdim_residual(v: OperatorSystem, k: int):
+    """Residual of :func:`anticlique_lowdim` over packed (n, k) frames, and its exact Jacobian.
+
+    M_a = X*·S_a·X for S = (I, T_1, T_2, ...); the residual packs M_0 - I_k
+    and the traceless parts of the other M_a.  Its Jacobian packs
+    dM_a = dX*·S_a·X + X*·S_a·dX under the same traceless projection, one
+    column per real coordinate of X.
+    """
+    n = v.n
+    traces = np.trace(v.basis, axis1=1, axis2=2)
+    stack = np.concatenate([np.eye(n)[None], v.basis - (traces / n)[:, None, None] * np.eye(n)])
+    eye = np.eye(k)
+
+    def traceless(m: np.ndarray) -> np.ndarray:
+        m[..., 1:, :, :] -= np.einsum("...app->...a", m[..., 1:, :, :])[..., None, None] * eye / k
+        return m
+
+    def resid(xr: np.ndarray) -> np.ndarray:
+        x = unpack_real(xr, (n, k))
+        m = x.conj().T @ stack @ x
+        m[0] -= eye
+        return pack_real(traceless(m))
+
+    def jac(xr: np.ndarray) -> np.ndarray:
+        x = unpack_real(xr, (n, k))
+        sx, xs = stack @ x, x.conj().T @ stack
+        # dM[i, j, a] for dX = E_ij is e_j (S_a X)_i. + (X* S_a)_.i e_j^T; for dX = i E_ij
+        # it is i times the second term minus the first
+        t1 = np.einsum("pj,aiq->ijapq", eye, sx)
+        t2 = np.einsum("api,qj->ijapq", xs, eye)
+        d = traceless(np.concatenate([t1 + t2, 1j * (t2 - t1)]).reshape(2 * n * k, -1, k, k))
+        d = d.reshape(2 * n * k, -1).T
+        return np.concatenate([d.real, d.imag])
+
+    return resid, jac
+
+
+class _Solution(NamedTuple):
+    x: np.ndarray  # the last accepted point
+    fun: np.ndarray  # the residual there
+
+
+def _gauss_newton(
+    resid: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+) -> _Solution | None:
+    """Damped Gauss-Newton least-squares solve from ``x0``.
+
+    Each step is the minimum-norm least-squares solution of J·s = -r for
+    the exact Jacobian J, halved up to ``_GN_HALVINGS`` times until ||r||
+    decreases.  The solve stops once ||r|| <= ``_GN_ZERO``, when no halving
+    helps, or after ``_GN_STEPS`` steps.  ``None`` if LAPACK breaks down in
+    a linear solve, so the caller skips one restart.
+    """
+    x, r = x0, resid(x0)
+    cost = r @ r
     try:
-        return scipy.optimize.least_squares(
-            resid, x0, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_nfev
-        )
+        for _ in range(_GN_STEPS):
+            if cost <= _GN_ZERO**2:
+                break
+            step = np.linalg.lstsq(jac(x), -r, rcond=None)[0]
+            for _ in range(_GN_HALVINGS):
+                x_new = x + step
+                r_new = resid(x_new)
+                cost_new = r_new @ r_new
+                if cost_new < cost:
+                    break
+                step = step / 2
+            else:
+                break
+            x, r, cost = x_new, r_new, cost_new
     except np.linalg.LinAlgError:
         return None
+    return _Solution(x, r)
 
 
 # ---------------------------------------------------------------------------
 # rank-2 separator and the 3x3 step
 # ---------------------------------------------------------------------------
+
+
+def _forms_residual(mats: Sequence[np.ndarray], targets: Sequence[float]):
+    """Residual x -> (x*·M·x - t for each Hermitian M, ||x||^2 - 1) over packed
+    vectors, and its exact Jacobian: rows 2·[Re(M x), Im(M x)]."""
+    n = mats[0].shape[0]
+    stack = np.concatenate([np.asarray(mats, dtype=np.complex128), np.eye(n)[None]])
+    goal = np.append(np.asarray(targets, dtype=float), 1.0)
+
+    def resid(xr: np.ndarray) -> np.ndarray:
+        x = unpack_real(xr, (n,))
+        return np.real(np.einsum("i,mij,j->m", x.conj(), stack, x)) - goal
+
+    def jac(xr: np.ndarray) -> np.ndarray:
+        mx = stack @ unpack_real(xr, (n,))
+        return 2.0 * np.concatenate([mx.real, mx.imag], axis=1)
+
+    return resid, jac
 
 
 def _solve_forms(
@@ -594,19 +677,13 @@ def _solve_forms(
 ) -> np.ndarray | None:
     """Unit vector with prescribed quadratic forms against Hermitian ``mats``."""
     n = mats[0].shape[0]
-
-    def resid(xr: np.ndarray) -> np.ndarray:
-        x = unpack_real(xr, (n,))
-        vals = [float(np.real(np.vdot(x, m @ x))) - t for m, t in zip(mats, targets)]
-        vals.append(float(np.real(np.vdot(x, x))) - 1.0)
-        return np.asarray(vals)
-
+    resid, jac = _forms_residual(mats, targets)
     starts = list(inits)
     while len(starts) < _SEPARATOR_RESTARTS:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(z / np.linalg.norm(z))
     for x0 in starts:
-        sol = _trf_solve(resid, pack_real(np.asarray(x0, dtype=np.complex128)), 300)
+        sol = _gauss_newton(resid, jac, pack_real(np.asarray(x0, dtype=np.complex128)))
         if sol is not None and float(np.max(np.abs(sol.fun))) < 1e-11:
             x = unpack_real(sol.x, (n,))
             return x / np.linalg.norm(x)

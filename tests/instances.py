@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 
 def fail_first_solve(monkeypatch) -> None:
-    """Make the next ``scipy.optimize.least_squares`` call raise LAPACK's breakdown error."""
-    real = scipy.optimize.least_squares
+    """Make the next ``np.linalg.lstsq`` call raise LAPACK's breakdown error.
+
+    That call is the first linear solve of the next Gauss-Newton solve in
+    ``opsys.constructions``.
+    """
+    real = np.linalg.lstsq
     calls = []
 
     def flaky(*args, **kwargs):
@@ -17,7 +20,7 @@ def fail_first_solve(monkeypatch) -> None:
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+    monkeypatch.setattr(np.linalg, "lstsq", flaky)
 
 
 def staircase_instance(k: int, seed: int) -> np.ndarray:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsys.constructions import (
@@ -397,7 +402,7 @@ def pentagon_system():
 
 
 class TestSolverBreakdown:
-    """A LAPACK breakdown inside ``least_squares`` costs one restart, not the search."""
+    """A LAPACK breakdown inside a Gauss-Newton solve costs one restart, not the search."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_anticlique_lowdim_skips_the_restart(self, monkeypatch, seed):
@@ -412,6 +417,60 @@ class TestSolverBreakdown:
         cert = diagonal_route(random_diagonal_system(7, 4, seed=seed), 2, seed=seed)
         assert cert.kind is Kind.ANTICLIQUE
         assert "attempt 0: solver breakdown" in cert.trace
+
+
+def central_differences(fun, x, h=1e-6):
+    return np.stack([(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(x.size)], axis=1)
+
+
+class TestGaussNewton:
+    """The closed-form Jacobians and the damped Gauss-Newton solve that uses them."""
+
+    @pytest.mark.parametrize("n,k,d", [(5, 2, 2), (7, 2, 5), (9, 3, 3)])
+    def test_lowdim_jacobian_matches_central_differences(self, n, k, d):
+        resid, jac = opsys.constructions._lowdim_residual(random_system(n, d, seed=n), k)
+        for x in np.random.default_rng(d).standard_normal((3, 2 * n * k)):
+            fd = central_differences(resid, x)
+            assert np.linalg.norm(jac(x) - fd) < 1e-6 * np.linalg.norm(fd)
+
+    def test_forms_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(0)
+        mats = [random_hermitian(rng, 5) for _ in range(3)]
+        resid, jac = opsys.constructions._forms_residual(mats, [0.3, -0.2, 1.1])
+        for x in rng.standard_normal((3, 10)):
+            fd = central_differences(resid, x)
+            assert np.linalg.norm(jac(x) - fd) < 1e-6 * np.linalg.norm(fd)
+
+    def test_unreachable_target_returns_none_within_budget(self, monkeypatch):
+        # no unit vector has x*Mx above the largest eigenvalue of M
+        rng = np.random.default_rng(1)
+        m = random_hermitian(rng, 4)
+        steps = []
+        real = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            steps.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        top = np.linalg.eigvalsh(m)[-1]
+        assert opsys.constructions._solve_forms([m], [top + 1.0], [], rng) is None
+        budget = opsys.constructions._SEPARATOR_RESTARTS * opsys.constructions._GN_STEPS
+        assert 0 < len(steps) <= budget
+
+    def test_anticlique_lowdim_repeats_bit_for_bit(self):
+        v = random_system(9, 3, seed=4)
+        a, b = anticlique_lowdim(v, 3, seed=4), anticlique_lowdim(v, 3, seed=4)
+        assert a.projection.frame.tobytes() == b.projection.frame.tobytes()
+        assert (a.kind, a.compressed_dim, a.trace) == (b.kind, b.compressed_dim, b.trace)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = Path(opsys.constructions.__file__).resolve().parents[1]
+        probe = "import sys, opsys; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestNoHermitianBasis:
@@ -453,6 +512,12 @@ class TestBasisInvariance:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 2), (7, 2), (9, 3)]), st.integers(1, 5))
+    @example(0, (5, 2), 1)
+    @example(0, (7, 2), 1)
+    @example(0, (9, 3), 1)
+    @example(0, (5, 2), 3)  # d at the bound (n - k) / (k - 1)
+    @example(0, (7, 2), 5)
+    @example(0, (9, 3), 3)
     def test_anticlique_lowdim(self, seed, shape, d):
         n, k = shape
         v = random_system(n, min(d, (n - k) // (k - 1)), seed=seed)
@@ -468,6 +533,10 @@ class TestBasisInvariance:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.integers(4, 36))
+    @example(0, 3, 4)
+    @example(0, 6, 4)
+    @example(0, 3, 9)  # d = n^2: V is all of M_n
+    @example(0, 6, 36)
     def test_two_clique(self, seed, n, d):
         v = random_system(n, min(d, n * n), seed=seed)
         mixed = mixed_basis(v, seed + 1)
