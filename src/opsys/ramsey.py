@@ -201,13 +201,16 @@ def _phase1_search(
     """:func:`phase1_vector_search` inside a precomputed orthocomplement ``frame``."""
     if frame.shape[1] == 0:
         return None
+    # an orbit spans at most min(n, dim V) directions: above that the
+    # threshold cannot reject, and the first nonzero candidate wins unmeasured
+    accept_all = threshold > min(v.n, v.dim)
     for c in _phase1_candidates(v, frame, derive_rng(seed, 0)):
         x = frame @ c
         norm = np.linalg.norm(x)
         if norm < 1e-12:
             continue
         x = x / norm
-        if orbit_dim(v, x, tol) < threshold:
+        if accept_all or orbit_dim(v, x, tol) < threshold:
             return x
     return None
 

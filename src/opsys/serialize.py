@@ -1,8 +1,10 @@
 """JSON wire formats for every object the CLI reads or writes.
 
 Complex data is carried as [re, im] pairs, row-major for matrices; all
-dumps are deterministic (sorted keys, fixed indentation) so identical
-inputs produce byte-identical files.
+dumps are compact and deterministic (sorted keys, no whitespace, one
+trailing newline) so identical inputs produce byte-identical files.  Every
+float is written as its shortest round-tripping repr, so a file loads back
+bit for bit.
 """
 
 from __future__ import annotations
@@ -44,25 +46,33 @@ __all__ = [
 ]
 
 
-def _pairs(flat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _pairs(a: np.ndarray) -> list[list[float]]:
+    """Row-major ``[re, im]`` pairs of a complex128 array."""
+    return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _complex_array(obj: dict[str, Any], count: int, what: str) -> np.ndarray:
     entries = obj["entries"]
     if len(entries) != count:
         raise ValueError(f"{what} expects {count} entries, got {len(entries)}")
-    arr = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    try:
+        parts = np.asarray(entries)
+    except ValueError as exc:  # ragged pairs
+        raise ValueError(f"{what} entries must be [re, im] pairs") from exc
+    # strings and null make a str or object array: only JSON numbers pass
+    if parts.shape != (count, 2) or parts.dtype.kind not in "iuf":
+        raise ValueError(f"{what} entries must be [re, im] pairs of numbers")
+    parts = parts.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(parts)):
         raise ValueError(f"{what} contains non-finite entries")
-    return arr
+    return parts.view(np.complex128).reshape(count)
 
 
 def matrix_to_json(a: np.ndarray) -> dict[str, Any]:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    return {"n": int(a.shape[0]), "entries": _pairs(a.ravel())}
+    return {"n": int(a.shape[0]), "entries": _pairs(a)}
 
 
 def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
@@ -203,7 +213,12 @@ def params_from_json(obj: dict[str, Any]) -> SearchParams:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Compact JSON text of ``obj``: sorted keys, no whitespace, one trailing newline.
+
+    Without an indent Python uses its C encoder; files written with an indent
+    parse the same way, so they keep loading.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -236,6 +236,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", path, str(ppath), "--k", "3")
         assert code == 1
 
+    def test_non_numeric_entries_fail_cleanly(self, capsys, system_file, tmp_path):
+        from opsys.linalg import Projection
+        from opsys.serialize import projection_to_json
+
+        obj = read_json(system_file("v.json", 4, 5))
+        obj["basis"][0]["entries"][0] = ["1.5", "2"]
+        bad = tmp_path / "bad.json"
+        write_json(bad, obj)
+        ppath = tmp_path / "p.json"
+        write_json(ppath, projection_to_json(Projection.coordinate(4, [0, 1])))
+        code, _, err = run(capsys, "verify", str(bad), str(ppath))
+        assert code == 1
+        assert "cannot read operator system" in err and "pairs of numbers" in err
+
     def test_malformed_projection(self, capsys, system_file, tmp_path):
         path = system_file("v.json", 4, 5)
         bad = tmp_path / "p.json"

@@ -292,6 +292,17 @@ class TestPhase1Cost:
         assert cert.kind is Kind.ANTICLIQUE
         assert cert.trace == ("phase 1: collected all 8 vectors",)
 
+    def test_skips_orbit_dim_when_the_threshold_cannot_reject(self, monkeypatch):
+        # 8k^8 = 2,048 exceeds min(n, dim V) = 16, the most an orbit can span
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase 1 measured an orbit it could not reject")
+
+        monkeypatch.setattr(opsys.ramsey, "orbit_dim", refuse)
+        cert = find_clique_or_anticlique(
+            random_system(16, 48, seed=0), 2, SearchParams.for_k(2, seed=0)
+        )
+        assert cert.kind is not Kind.NEITHER
+
     def test_one_null_space_per_vector_set(self, monkeypatch):
         # dim 120 > n = 24: the first vector's orbit fills C^24 and phase 1
         # stalls, so the only vector set that needs a null space is {w_1}

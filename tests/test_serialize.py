@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsys.constructions import SimpleGraph, diagonal_system
@@ -34,7 +34,7 @@ from opsys.serialize import (
 )
 from opsys.systems import Kind, certify, from_span, random_projection, random_system
 
-finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestMatrixVector:
@@ -53,13 +53,36 @@ class TestMatrixVector:
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=16))
+    @example([(1.0, -2.5)])
+    @example([(-0.0, -0.0), (0.0, -0.0)])
+    @example([(5e-324, -5e-324)])
+    @example([(1.7976931348623157e308, -1.7976931348623157e308)])
+    @example([(1e-300, 0.1)])
     def test_vector_round_trip(self, pairs):
         x = np.array([complex(r, i) for r, i in pairs])
-        assert np.array_equal(vector_from_json(vector_to_json(x)), x)
+        back = vector_from_json(json.loads(dumps(vector_to_json(x))))
+        # bit for bit, through the wire text: -0.0 keeps its sign bit
+        assert back.tobytes() == x.tobytes()
 
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
             matrix_from_json({"n": 2, "entries": [[1.0, 0.0]] * 3})
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [["1.5", "2"]],
+            [[1.0]],
+            [[1, 2, 3]],
+            [[None, 0]],
+            [[True, False]],
+            [[1.0, 0.0], [1.0]],
+            [1.0, 0.0],
+        ],
+    )
+    def test_rejects_entries_that_are_not_number_pairs(self, entries):
+        with pytest.raises(ValueError, match="pairs"):
+            vector_from_json({"n": len(entries), "entries": entries})
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -101,6 +124,13 @@ class TestSystem:
         v = system_from_json({"n": 2, "basis": [matrix_to_json(e01)]})
         assert v.dim == 3
         assert v.contains(np.eye(2)) and v.contains(e01.conj().T)
+
+    def test_loads_an_indented_file(self, tmp_path):
+        # files written before dumps became compact keep loading, bit for bit
+        v = random_system(6, 10, seed=4)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(system_to_json(v), indent=2, sort_keys=True) + "\n")
+        assert system_from_json(read_json(path)).basis.tobytes() == v.basis.tobytes()
 
     def test_rejects_wrong_dimension_entries(self):
         obj = {"n": 3, "basis": [matrix_to_json(np.eye(2, dtype=complex))]}
@@ -256,6 +286,25 @@ class TestDumps:
         s = dumps({"b": 1, "a": 2})
         assert s.index('"a"') < s.index('"b"')
         assert s.endswith("\n")
+
+    def test_compact_form(self):
+        v = random_system(16, 96, seed=0)
+        s = dumps(system_to_json(v))
+        assert s.count("\n") == 1 and s.endswith("\n")
+        assert len(s.encode()) <= 50 * v.dim * v.n**2
+
+    def test_compact_text_parses_to_the_same_object(self):
+        v = random_system(4, 16, seed=0)
+        cert = certify(v, random_projection(4, 2, seed=1), 2, seed=7, trace=("a", "b"))
+        mats = [np.kron(e, np.eye(3)) for e in np.eye(4).reshape(4, 2, 2)]
+        qg = QuantumGraph(commutant(MatrixAlgebra.from_blocks([(2, 3)])), from_span(mats, 6))
+        for obj in (
+            certificate_to_json(cert),
+            qgraph_to_json(qg),
+            params_to_json(SearchParams(100, 5, 9, retry_budget=3, seed=17)),
+        ):
+            assert json.loads(dumps(obj)) == obj
+        assert "coords" in qgraph_to_json(qg)["algebra"]
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "sys.json"
