@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SearchBudgetError
 from .linalg import (
@@ -23,6 +22,7 @@ from .linalg import (
     as_matrix,
     hermitian_split,
     hs_norm,
+    null_space,
     pack_real,
     projection_from_vectors,
     rank_at,
@@ -242,16 +242,31 @@ def diagonal_clique_projection(n: int, k: int) -> Projection:
     return Projection.from_frame(_clique_frame(rank1_spanning_vectors(k), n))
 
 
+def _greedy_pivots(a: np.ndarray, count: int) -> list[int]:
+    """The first ``count`` column pivots of ``a`` (at most its column count), as
+    column-pivoted QR picks them: the largest remaining column norm, then that
+    column projected out of the rest."""
+    rest = np.array(a, dtype=np.result_type(a, 1.0))
+    picked: list[int] = []
+    for _ in range(min(count, rest.shape[1])):
+        norms = np.linalg.norm(rest, axis=0)
+        norms[picked] = -1.0
+        j = int(np.argmax(norms))
+        picked.append(j)
+        q = rest[:, j] / max(norms[j], 1e-300)
+        rest -= np.outer(q, q.conj() @ rest)
+    return picked
+
+
 def _diagonal_clique_frame(diags: np.ndarray, k: int, tol: Tolerance) -> np.ndarray | None:
     """Frame of a k-clique of the diagonal system with diagonals ``diags`` (rows), or None.
 
-    Picks k^2 + k - 1 coordinates by pivoted QR and places the diagonal
-    clique there; ``None`` unless the rows stay independent on them at
-    ``tol.rank_rel``.
+    Picks k^2 + k - 1 coordinates by greedy column pivoting and places the
+    diagonal clique there; ``None`` unless the rows stay independent on them
+    at ``tol.rank_rel``.
     """
     m = k * k + k - 1
-    _, _, piv = scipy.linalg.qr(diags, pivoting=True)
-    cols = np.sort(piv[:m])
+    cols = np.sort(_greedy_pivots(diags, m))
     if rank_at(np.linalg.svd(diags[:, cols], compute_uv=False), tol.rank_rel) < m:
         return None
     frame = np.zeros((diags.shape[1], k), dtype=np.complex128)
@@ -277,7 +292,7 @@ def diagonal_clique(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> DiagonalCli
     diagonal in the columns of U.
     """
     frame = diagonal_clique_projection(n, k).frame
-    basis = np.hstack([frame, scipy.linalg.null_space(frame.conj().T)]).conj().T
+    basis = np.hstack([frame, null_space(frame.conj().T)]).conj().T
     system = OperatorSystem(n, np.einsum("ja,ka->ajk", basis, basis.conj()))
     cert = certify(system, Projection.coordinate(n, range(k)), k, tol)
     if cert.kind is not Kind.CLIQUE:

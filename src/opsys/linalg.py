@@ -25,6 +25,7 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "span_residuals",
+    "null_space",
     "numerical_rank",
     "rank_at",
     "stacked_singular_values",
@@ -62,12 +63,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-# Contract the frame's adjoint with the stack, then the frame: the path
-# ``optimize=True`` finds for every (m, n, k).  Fixing it skips the path
-# search, which costs more than the arithmetic for small stacks.
-_LEFT_FIRST = ["einsum_path", (0, 1), (0, 1)]
-
 
 def as_matrix(a, n: int | None = None) -> np.ndarray:
     """Coerce ``a`` to a square complex128 array, validating shape and finiteness."""
@@ -112,6 +107,24 @@ def span_residuals(basis: np.ndarray, stack: np.ndarray) -> np.ndarray:
     flat = basis.reshape(basis.shape[0], -1)
     rows = np.reshape(stack, (-1, flat.shape[1]))
     return np.linalg.norm(rows - (rows @ flat.conj().T) @ flat, axis=1)
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal frame ``(n, n - rank)`` of the null space of the ``(m, n)`` array ``a``.
+
+    The rank counts singular values above ``eps * max(m, n) * sigma_max``.  A
+    tall or square ``a`` pays for singular values alone when its rank is full
+    (an empty frame); otherwise one reduced SVD supplies the frame, with all
+    n right singular vectors computed only for a wide ``a``.
+    """
+    m, n = a.shape
+    cutoff = np.finfo(float).eps * max(m, n)
+    if m >= n:
+        s = np.linalg.svd(a, compute_uv=False)
+        if np.count_nonzero(s > cutoff * s.max(initial=0.0)) == n:
+            return np.zeros((n, 0), dtype=np.result_type(a, 1.0))
+    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
+    return vh[np.count_nonzero(s > cutoff * s.max(initial=0.0)) :].conj().T
 
 
 def _stack_flat(items: Sequence) -> np.ndarray:
@@ -211,8 +224,17 @@ class Projection:
         return self.frame.conj().T @ as_matrix(a, self.n) @ self.frame
 
     def compress_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Compress a ``(m, n, n)`` stack to ``(m, k, k)`` in one shot."""
-        return np.einsum("ia,mij,jb->mab", self.frame.conj(), stack, self.frame, optimize=_LEFT_FIRST)
+        """Compress a ``(m, n, n)`` stack to ``(m, k, k)`` with two matrix products.
+
+        ``A_i F`` for all i is one product over the m·n rows of the stack,
+        which reads it once and copies nothing; after a transpose of that
+        small ``(m, n, k)`` result, one more product with ``F^H`` finishes
+        every slice.
+        """
+        m, n, k = len(stack), self.n, self.k
+        right = (stack.reshape(m * n, n) @ self.frame).reshape(m, n, k)
+        both = self.frame.conj().T @ right.transpose(1, 0, 2).reshape(n, m * k)
+        return both.reshape(k, m, k).transpose(1, 0, 2)
 
 
 def projection_from_vectors(vectors: Sequence, tol: Tolerance = DEFAULT_TOL) -> Projection:

@@ -18,11 +18,10 @@ from functools import partial
 from typing import Callable, Collection, Generator, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .constructions import _diagonal_clique_frame, anticlique_lowdim, blocks2_clique
 from .errors import SearchBudgetError
-from .linalg import DEFAULT_TOL, Projection, Tolerance, as_vector
+from .linalg import DEFAULT_TOL, Projection, Tolerance, as_vector, null_space
 from .systems import (
     Certificate,
     Kind,
@@ -145,7 +144,7 @@ def _orbit_orthocomplement(v: OperatorSystem, vectors: Sequence[np.ndarray]) -> 
     for w in vectors:
         rows.append(np.einsum("mij,j->mi", v.basis, w, optimize=True))
     stacked = np.concatenate(rows, axis=0)
-    return scipy.linalg.null_space(stacked.conj())
+    return null_space(stacked.conj())
 
 
 def phase1_vector_search(
@@ -256,7 +255,7 @@ def _phase2_chain(
         wr = ws[-1]
         m = np.stack([a @ wr for a in v.basis], axis=1)  # columns A_a w_r
         cons = _forbidden_rows(ws, chain) @ m
-        null = scipy.linalg.null_space(cons)
+        null = null_space(cons)
         if null.shape[1] == 0:
             notes.append(f"chain stalled at step {r + 1}: constraints have no solution")
             break
@@ -279,7 +278,7 @@ def _padding_vectors(
     extras: list[np.ndarray] = []
     for _ in range(count):
         rows = _forbidden_rows(ws + extras, chain)
-        null = scipy.linalg.null_space(rows)
+        null = null_space(rows)
         if null.shape[1] == 0:
             return None
         extras.append(null[:, 0])
@@ -362,9 +361,12 @@ def _phase1_stage(
         trace.append(f"phase 1: collected all {len(vectors)} vectors")
     if not vectors:
         return frame
+    s = len(vectors)
+    if s == 1 < k:  # a 1 x 1 compression is diagonal; one vector is too few
+        trace.append(f"phase 1: only 1 vectors for rank {k}")
+        return frame
 
     w = np.stack(vectors, axis=1)
-    s = len(vectors)
     comp = Projection.from_frame(w).compress_stack(v.basis)
     diag_entries = np.diagonal(comp, axis1=1, axis2=2)
     off = comp - np.einsum("ma,ab->mab", diag_entries, np.eye(s))

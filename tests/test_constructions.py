@@ -27,7 +27,9 @@ from opsys.constructions import (
     two_clique,
 )
 import opsys.constructions
+import opsys.linalg
 import opsys.systems
+from opsys.constructions import _greedy_pivots
 from opsys.errors import SearchBudgetError
 from opsys.linalg import Projection, hs_inner, numerical_rank
 from opsys.ramsey import diagonal_route
@@ -190,6 +192,33 @@ class TestDiagonalClique:
         assert cert.compressed_dim == k * k
 
 
+class TestGreedyPivots:
+    """The coordinate picker of the diagonal clique route, against pivoted QR."""
+
+    @pytest.mark.parametrize("d,n,count", [(5, 7, 5), (7, 7, 5), (11, 16, 11), (19, 30, 19), (6, 9, 3)])
+    def test_same_coordinates_as_pivoted_qr(self, d, n, count):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, d, n])
+            diags = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+            norms = np.sort(np.linalg.norm(diags, axis=0))
+            assert np.diff(norms).min() > 1e-6 * norms[-1]  # no ties to break
+            _, _, piv = scipy.linalg.qr(diags, pivoting=True)
+            assert sorted(_greedy_pivots(diags, count)) == sorted(piv[:count]), seed
+
+    def test_distinct_columns_past_the_rank(self):
+        rng = np.random.default_rng(0)
+        diags = rng.standard_normal((2, 4)) @ rng.standard_normal((4, 6))
+        picked = _greedy_pivots(diags, 10)
+        assert sorted(picked) == list(range(6))
+        assert np.argmax(np.linalg.norm(diags, axis=0)) == picked[0]
+
+    def test_diagonal_route_on_the_full_diagonal_algebra(self):
+        # every column of D_n's diagonal stack has norm 1: all pivots tie
+        v = random_diagonal_system(7, 7, seed=0)
+        cert = diagonal_route(v, 2)
+        assert cert.kind is Kind.CLIQUE and cert.compressed_dim == 4
+
+
 class TestCliquesWithoutUnitaryCompletion:
     """Only diagonal_clique completes its frame to a unitary; the rest use the frame alone."""
 
@@ -198,7 +227,16 @@ class TestCliquesWithoutUnitaryCompletion:
         def refuse(*args, **kwargs):
             raise AssertionError("null_space called")
 
-        monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+        helper = opsys.linalg.null_space
+        bound = [name for name, mod in list(sys.modules.items())
+                 if name.startswith("opsys") and getattr(mod, "null_space", None) is helper]
+        assert {"opsys.linalg", "opsys.ramsey", "opsys.constructions"} <= set(bound)
+        for name in bound:
+            monkeypatch.setattr(sys.modules[name], "null_space", refuse)
+
+    def test_the_unitary_completion_is_refused(self):
+        with pytest.raises(AssertionError, match="null_space called"):
+            diagonal_clique(5, 2)
 
     def test_diagonal_clique_projection(self):
         p = diagonal_clique_projection(19, 4)
@@ -465,12 +503,13 @@ class TestGaussNewton:
         assert (a.kind, a.compressed_dim, a.trace) == (b.kind, b.compressed_dim, b.trace)
 
     def test_import_leaves_scipy_optimize_out(self):
+        # and every other scipy module: opsys runs on numpy alone
         src = Path(opsys.constructions.__file__).resolve().parents[1]
-        probe = "import sys, opsys; print('scipy.optimize' in sys.modules)"
+        probe = "import sys, opsys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
 
 class TestNoHermitianBasis:

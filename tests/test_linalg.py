@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from opsys.linalg import (
     hermitian_split,
     hs_inner,
     hs_norm,
+    null_space,
     numerical_rank,
     pack_real,
     projection_from_vectors,
@@ -91,6 +93,53 @@ class TestRank:
         assert numerical_rank(mats) == numerical_rank(conj)
 
 
+def _deficient(rng, m, n, r):
+    return random_complex(rng, m, r) @ random_complex(rng, r, n)
+
+
+class TestNullSpace:
+    """Same subspace as ``scipy.linalg.null_space`` at the same cutoff."""
+
+    CASES = {
+        "tall full rank": lambda rng: random_complex(rng, 9, 5),
+        "tall deficient": lambda rng: _deficient(rng, 9, 5, 3),
+        "wide": lambda rng: random_complex(rng, 3, 7),
+        "wide deficient": lambda rng: _deficient(rng, 4, 7, 2),
+        "square full rank": lambda rng: random_complex(rng, 6, 6),
+        "square deficient": lambda rng: _deficient(rng, 6, 6, 4),
+        "all zero, tall": lambda rng: np.zeros((6, 4), dtype=np.complex128),
+        "all zero, wide": lambda rng: np.zeros((2, 5), dtype=np.complex128),
+        "one row": lambda rng: random_complex(rng, 1, 5),
+        "one column": lambda rng: random_complex(rng, 4, 1),
+        "real deficient": lambda rng: rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5)),
+        # a direction at 1e-10 of the largest is rank at eps·max(m, n)
+        "graded, tall": lambda rng: random_complex(rng, 8, 5) * np.array([1, 1, 1, 1, 1e-10]),
+        "graded, wide": lambda rng: random_complex(rng, 3, 6) * np.array([[1], [1], [1e-10]]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_scipy(self, case):
+        a = self.CASES[case](np.random.default_rng(sorted(self.CASES).index(case)))
+        ours, ref = null_space(a), scipy.linalg.null_space(a)
+        assert ours.shape == ref.shape
+        assert ours.dtype == ref.dtype
+        assert np.allclose(ours @ ours.conj().T, ref @ ref.conj().T, atol=1e-10)
+        assert np.allclose(ours.conj().T @ ours, np.eye(ours.shape[1]), atol=1e-12)
+        assert np.allclose(a @ ours, 0.0, atol=1e-10 * max(1.0, np.abs(a).max()))
+
+    def test_full_rank_tall_input_computes_no_vectors(self, monkeypatch):
+        real, calls = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        out = null_space(random_complex(np.random.default_rng(1), 30, 12))
+        assert out.shape == (12, 0)
+        assert calls == [False]
+
+
 class TestSpanOrthonormalize:
     def test_drops_dependent_directions(self):
         rng = np.random.default_rng(2)
@@ -151,6 +200,29 @@ class TestProjection:
         batch = p.compress_stack(stack)
         for i in range(4):
             assert np.allclose(batch[i], p.compress(stack[i]))
+
+    @pytest.mark.parametrize("n,k,m", [(6, 1, 4), (6, 6, 4), (7, 3, 1), (48, 2, 40)])
+    def test_compress_stack_matches_each_slice(self, n, k, m):
+        rng = np.random.default_rng(n + k + m)
+        p = Projection.from_frame(np.linalg.qr(random_complex(rng, n, k))[0])
+        stack = random_complex(rng, m, n, n)
+        batch = p.compress_stack(stack)
+        assert batch.shape == (m, k, k)
+        f = p.frame
+        for a, c in zip(stack, batch):
+            assert np.allclose(c, f.conj().T @ a @ f, atol=1e-12 * n)
+
+    def test_compress_stack_of_a_strided_view(self):
+        rng = np.random.default_rng(11)
+        p = Projection.from_frame(np.linalg.qr(random_complex(rng, 5, 2))[0])
+        big = random_complex(rng, 6, 10, 10)
+        view = big[::2, 1::2, ::2]  # (3, 5, 5), contiguous in no axis
+        assert not view.flags.c_contiguous
+        batch = p.compress_stack(view)
+        assert np.allclose(batch, p.compress_stack(np.ascontiguousarray(view)), atol=1e-13)
+        f = p.frame
+        for a, c in zip(view, batch):
+            assert np.allclose(c, f.conj().T @ a @ f, atol=1e-12)
 
     def test_projection_from_vectors_orthonormalizes(self):
         rng = np.random.default_rng(7)

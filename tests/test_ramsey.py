@@ -2,7 +2,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import opsys.ramsey
 import opsys.systems
@@ -305,19 +304,36 @@ class TestPhase1Cost:
 
     def test_one_null_space_per_vector_set(self, monkeypatch):
         # dim 120 > n = 24: the first vector's orbit fills C^24 and phase 1
-        # stalls, so the only vector set that needs a null space is {w_1}
-        calls = []
-        real = scipy.linalg.null_space
+        # stalls, so the only vector set that needs a null space is {w_1};
+        # its rank is full, so singular values alone decide it, and no SVD
+        # in the whole search computes singular vectors; V is never
+        # compressed onto the one vector, since a 1 x 1 compression is diagonal
+        frames, svds, ranks = [], [], []
+        real_null, real_svd = opsys.ramsey.null_space, np.linalg.svd
+        real_compress = Projection.compress_stack
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting_null(a):
+            frames.append(real_null(a))
+            return frames[-1]
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(kwargs.get("compute_uv", True))
+            return real_svd(a, *args, **kwargs)
+
+        def counting_compress(p, stack):
+            ranks.append(p.k)
+            return real_compress(p, stack)
 
         v = random_system(24, 120, seed=3)
-        monkeypatch.setattr(scipy.linalg, "null_space", counting)
+        monkeypatch.setattr(opsys.ramsey, "null_space", counting_null)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(Projection, "compress_stack", counting_compress)
         cert = find_clique_or_anticlique(v, 2, SearchParams.for_k(2, seed=3))
         assert "phase 1: stalled after 1 vectors" in cert.trace
-        assert len(calls) == 1
+        assert "phase 1: only 1 vectors for rank 2" in cert.trace
+        assert [f.shape for f in frames] == [(24, 0)]
+        assert svds and not any(svds)
+        assert ranks and 1 not in ranks
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_search_scale_verdict_comes_from_first_probe(self, k):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsys.linalg import Projection, Tolerance
@@ -338,3 +338,22 @@ def test_certify_verdict_is_unitarily_invariant(seed, n, d):
     b = certify(rotated, q, q.k)
     assert a.kind is b.kind
     assert a.compressed_dim == b.compressed_dim
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 5), st.integers(1, 25))
+@example(0, 4, 2, 1)  # dim 1: V = span{I}
+@example(0, 3, 3, 5)  # k = n
+@example(0, 5, 5, 25)  # k = n and dim = n^2
+@example(0, 3, 2, 9)  # dim = n^2: V = M_n
+def test_certify_depends_only_on_the_span(seed, n, k, d):
+    """Re-orthonormalizing a random invertible mix of V's basis never changes the verdict."""
+    k, d = min(k, n), min(d, n * n)
+    v = random_system(n, d, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mixed = from_span(list(np.tensordot(g, v.basis, 1)), n)
+    assert mixed.dim == d
+    p = random_projection(n, k, seed=seed + 2)
+    a, b = certify(v, p, k), certify(mixed, p, k)
+    assert (a.kind, a.compressed_dim) == (b.kind, b.compressed_dim)
